@@ -1,13 +1,15 @@
 // End-to-end pass-2 correction throughput on the Table 2.1 D3 workload:
 // Reptile phase 2 (the CorrectionPipeline hot path since PR 2 made
 // phase 1 parallel) with the shared tile-decision cache on and off, at
-// 1/2/4/8 worker threads and at every compiled SIMD dispatch level,
-// verifying that every configuration produces output byte-identical to
-// the uncached single-thread scalar reference. Emits BENCH_correct.json
-// (path overridable via NGS_BENCH_JSON) so the pass-2 perf trajectory is
-// recorded alongside BENCH_spectrum.json. Rows running more workers than
-// the machine has hardware threads are flagged oversubscribed — their
-// scaling numbers measure scheduling, not the corrector.
+// 1/2/4/8 worker threads, verifying that every configuration produces
+// output byte-identical to the uncached single-thread reference. Every
+// speedup is against a baseline measured in the same process: pass-2
+// rows against the uncached 1-thread run, file-to-file rows against the
+// 1-thread file-to-file run. Emits BENCH_correct.json (path overridable
+// via NGS_BENCH_JSON) with the hardware block of the machine it ran on.
+// Rows running more workers than the machine has hardware threads are
+// flagged oversubscribed — their scaling numbers measure scheduling,
+// not the corrector.
 
 #include "bench_common.hpp"
 
@@ -25,17 +27,11 @@
 #include "io/fastx.hpp"
 #include "reptile/corrector.hpp"
 #include "reptile/params.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace ngs;
 
 namespace {
-
-/// Uncached single-thread pass-2 throughput of the growth seed at scale
-/// 1.0 (BENCH_correct.json before this optimization pass), the
-/// denominator of uncached_speedup_vs_seed.
-constexpr double kSeedUncachedReadsPerSec = 8832.2;
 
 /// Best-of-n wall time of fn().
 template <typename F>
@@ -79,7 +75,6 @@ std::vector<seq::Read> run_pass2(const reptile::ReptileCorrector& corrector,
 struct Row {
   std::size_t threads = 0;
   bool cached = false;
-  util::simd::Level dispatch = util::simd::Level::kScalar;
   bool oversubscribed = false;
   double seconds = 0.0;
   double reads_per_sec = 0.0;
@@ -89,7 +84,6 @@ struct Row {
 
 /// One file-to-file run of the whole pipeline (both passes + I/O).
 struct E2eRow {
-  bool io_overlap = false;
   std::size_t threads = 0;
   bool oversubscribed = false;
   double seconds = 0.0;
@@ -120,22 +114,16 @@ int main() {
   constexpr int kRepeats = 2;
   bench::print_header(
       "Pass-2 correction throughput (Table 2.1 D3-scale)",
-      "Reptile tile correction with the shared tile-decision cache on/off "
-      "at every SIMD dispatch level; outputs checked byte-identical to the "
-      "uncached 1-thread scalar reference.");
+      "Reptile tile correction with the shared tile-decision cache on/off; "
+      "outputs checked byte-identical to the uncached 1-thread reference.");
 
   const auto specs = sim::chapter2_specs(scale);
   const auto& d3_spec = specs.at(2);  // D3
   const auto d3 = sim::make_dataset(d3_spec, 42);
   const auto& reads = d3.sim.reads;
 
-  // Dispatch levels under test: scalar always, plus the best level this
-  // build + CPU supports (absent in -DNGS_SIMD=OFF builds).
-  const util::simd::Level best_level = util::simd::active();
-  std::vector<util::simd::Level> levels{util::simd::Level::kScalar};
-  if (best_level != util::simd::Level::kScalar) levels.push_back(best_level);
-
   const unsigned hw = std::thread::hardware_concurrency();
+  const std::string hardware = bench::hardware_json();
   auto params = reptile::select_parameters(reads, d3_spec.genome.length);
   util::Timer build_timer;
   const reptile::ReptileCorrector corrector(reads, params);
@@ -144,77 +132,62 @@ int main() {
             << "), reads=" << reads.size() << ", bases=" << reads.total_bases()
             << ", k=" << params.k << ", tile=" << params.tile_length()
             << "bp, phase-1 build " << util::Table::fixed(build_s, 2)
-            << "s, hardware_threads=" << hw << ", best dispatch="
-            << util::simd::level_name(best_level) << "\n\n";
+            << "s\nhardware: " << hardware << "\n\n";
 
-  // Reference: uncached, single worker, scalar kernels.
+  // Baseline: uncached, single worker, measured here.
   util::ThreadPool ref_pool(1);
-  util::simd::force_level(util::simd::Level::kScalar);
   std::vector<seq::Read> reference;
-  const double scalar_1t_s = best_seconds(kRepeats, [&] {
+  const double uncached_1t_s = best_seconds(kRepeats, [&] {
     reference = run_pass2(corrector, reads, ref_pool, nullptr);
   });
 
   const auto nreads = static_cast<double>(reads.size());
   std::vector<Row> rows;
-  rows.push_back({1, false, util::simd::Level::kScalar, hw != 0 && 1 > hw,
-                  scalar_1t_s, nreads / scalar_1t_s, 0.0, true});
+  rows.push_back({1, false, hw != 0 && 1 > hw, uncached_1t_s,
+                  nreads / uncached_1t_s, 0.0, true});
 
-  util::Table table({"Dispatch", "Threads", "Cache", "Pass 2 (s)", "Reads/s",
-                     "Speedup vs scalar 1t", "Hit rate", "Identical"});
-  table.add_row({"scalar", "1", "off", util::Table::fixed(scalar_1t_s, 3),
+  util::Table table({"Threads", "Cache", "Pass 2 (s)", "Reads/s",
+                     "Speedup vs uncached 1t", "Hit rate", "Identical"});
+  table.add_row({"1", "off", util::Table::fixed(uncached_1t_s, 3),
                  util::Table::num(
-                     static_cast<std::uint64_t>(nreads / scalar_1t_s)),
+                     static_cast<std::uint64_t>(nreads / uncached_1t_s)),
                  "1.00x", "-", "-"});
 
-  double uncached_1t_s = scalar_1t_s;  // best-dispatch headline number
-  for (const util::simd::Level level : levels) {
-    util::simd::force_level(level);
-    for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
-      util::ThreadPool pool(threads);
-      for (const bool cached : {false, true}) {
-        if (!cached && threads == 1 &&
-            level == util::simd::Level::kScalar) {
-          continue;  // the reference row above
+  for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
+    util::ThreadPool pool(threads);
+    for (const bool cached : {false, true}) {
+      if (!cached && threads == 1) continue;  // the baseline row above
+      std::vector<seq::Read> out;
+      double hit_rate = 0.0;
+      const double s = best_seconds(kRepeats, [&] {
+        // Fresh cache per repetition: timing must include the miss-and-
+        // fill phase, not reuse a previous repetition's warm entries.
+        if (cached) {
+          reptile::TileDecisionCache cache(reptile::kDefaultTileCacheBytes);
+          out = run_pass2(corrector, reads, pool, &cache);
+          hit_rate = cache.stats().hit_rate();
+        } else {
+          out = run_pass2(corrector, reads, pool, nullptr);
         }
-        std::vector<seq::Read> out;
-        double hit_rate = 0.0;
-        const double s = best_seconds(kRepeats, [&] {
-          // Fresh cache per repetition: timing must include the miss-and-
-          // fill phase, not reuse a previous repetition's warm entries.
-          if (cached) {
-            reptile::TileDecisionCache cache(reptile::kDefaultTileCacheBytes);
-            out = run_pass2(corrector, reads, pool, &cache);
-            hit_rate = cache.stats().hit_rate();
-          } else {
-            out = run_pass2(corrector, reads, pool, nullptr);
-          }
-        });
-        Row row;
-        row.threads = threads;
-        row.cached = cached;
-        row.dispatch = level;
-        row.oversubscribed = hw != 0 && threads > hw;
-        row.seconds = s;
-        row.reads_per_sec = nreads / s;
-        row.hit_rate = hit_rate;
-        row.identical = identical(out, reference);
-        rows.push_back(row);
-        if (!cached && threads == 1 && level == best_level) {
-          uncached_1t_s = s;
-        }
-        table.add_row(
-            {util::simd::level_name(level),
-             std::to_string(threads) + (row.oversubscribed ? "*" : ""),
-             cached ? "on" : "off", util::Table::fixed(s, 3),
-             util::Table::num(static_cast<std::uint64_t>(row.reads_per_sec)),
-             util::Table::fixed(scalar_1t_s / s, 2) + "x",
-             cached ? util::Table::percent(hit_rate) : "-",
-             row.identical ? "yes" : "NO"});
-      }
+      });
+      Row row;
+      row.threads = threads;
+      row.cached = cached;
+      row.oversubscribed = hw != 0 && threads > hw;
+      row.seconds = s;
+      row.reads_per_sec = nreads / s;
+      row.hit_rate = hit_rate;
+      row.identical = identical(out, reference);
+      rows.push_back(row);
+      table.add_row(
+          {std::to_string(threads) + (row.oversubscribed ? "*" : ""),
+           cached ? "on" : "off", util::Table::fixed(s, 3),
+           util::Table::num(static_cast<std::uint64_t>(row.reads_per_sec)),
+           util::Table::fixed(uncached_1t_s / s, 2) + "x",
+           cached ? util::Table::percent(hit_rate) : "-",
+           row.identical ? "yes" : "NO"});
     }
   }
-  util::simd::force_level(best_level);
   table.print(std::cout);
   std::cout << "(* = more workers than the " << hw
             << " hardware thread(s): oversubscribed, scaling not "
@@ -223,26 +196,19 @@ int main() {
   double cached_1t_s = 0.0;
   bool all_identical = true;
   for (const auto& r : rows) {
-    if (r.threads == 1 && r.cached && r.dispatch == best_level) {
-      cached_1t_s = r.seconds;
-    }
+    if (r.threads == 1 && r.cached) cached_1t_s = r.seconds;
     all_identical = all_identical && r.identical;
   }
-  const double uncached_rps = nreads / uncached_1t_s;
-  const double speedup_vs_seed = uncached_rps / kSeedUncachedReadsPerSec;
   std::cout << "\nsingle-thread cache speedup: "
             << util::Table::fixed(uncached_1t_s / cached_1t_s, 2)
-            << "x, uncached 1t vs seed "
-            << util::Table::fixed(speedup_vs_seed, 2) << "x"
-            << (scale == 1.0 ? "" : " (scale != 1.0: not comparable)")
-            << ", outputs " << (all_identical ? "all identical" : "DIVERGED")
+            << "x, outputs " << (all_identical ? "all identical" : "DIVERGED")
             << ", peak rss " << bench::mem_gb() << " GiB\n";
 
-  // --- End-to-end: file-to-file wall clock with the overlapped
-  // streaming executor on/off. Method sap (streamed spectrum), so both
-  // the pass-1 read-ahead and the pass-2 reader/workers/writer pipeline
-  // are on the measured path, I/O included. Every run's output file
-  // must be byte-identical to the serial single-thread reference.
+  // --- End-to-end: file-to-file wall clock of the whole pipeline at
+  // 1/2/4 workers. Method sap (streamed spectrum), so both the pass-1
+  // read-ahead and the pass-2 reader/workers/writer executor are on the
+  // measured path, I/O included. Every run's output file must be
+  // byte-identical to the single-thread run.
   std::cout << "\nEnd-to-end (sap, file to file, I/O included):\n";
   const auto e2e_dir =
       std::filesystem::temp_directory_path() /
@@ -254,57 +220,49 @@ int main() {
   core::CorrectorConfig e2e_config;
   e2e_config.genome_length = d3_spec.genome.length;
   std::string e2e_reference;
-  double e2e_ref_s = 0.0;
+  double e2e_1t_s = 0.0;
   std::vector<E2eRow> e2e_rows;
-  util::Table e2e_table({"Overlap", "Threads", "Wall (s)", "Reads/s",
-                         "Speedup vs serial 1t", "P2 util", "Identical"});
-  for (const bool overlap : {false, true}) {
-    for (const std::size_t threads : {1ul, 2ul, 4ul}) {
-      core::PipelineOptions popts;
-      popts.threads = threads;
-      popts.io_overlap = overlap;
-      const std::string out_fastq =
-          (e2e_dir / ("out_" + std::to_string(threads) +
-                      (overlap ? "_ov" : "_serial") + ".fastq"))
-              .string();
-      core::PipelineResult res;
-      const double s = best_seconds(kRepeats, [&] {
-        core::CorrectionPipeline pipeline(
-            core::make_corrector("sap", e2e_config), popts);
-        res = pipeline.run_file(in_fastq, out_fastq);
-      });
-      const std::string bytes = slurp(out_fastq);
-      std::filesystem::remove(out_fastq);
-      if (!overlap && threads == 1) {
-        e2e_reference = bytes;
-        e2e_ref_s = s;
-      }
-      E2eRow row;
-      row.io_overlap = overlap;
-      row.threads = threads;
-      row.oversubscribed = hw != 0 && threads > hw;
-      row.seconds = s;
-      row.reads_per_sec = nreads / s;
-      row.identical = bytes == e2e_reference;
-      row.pass1 = res.pass1_overlap;
-      row.pass2 = res.pass2_overlap;
-      all_identical = all_identical && row.identical;
-      e2e_rows.push_back(row);
-      e2e_table.add_row(
-          {overlap ? "on" : "off",
-           std::to_string(threads) + (row.oversubscribed ? "*" : ""),
-           util::Table::fixed(s, 3),
-           util::Table::num(static_cast<std::uint64_t>(row.reads_per_sec)),
-           util::Table::fixed(e2e_ref_s / s, 2) + "x",
-           overlap ? util::Table::fixed(util_pct(row.pass2), 0) + "%" : "-",
-           row.identical ? "yes" : "NO"});
+  util::Table e2e_table({"Threads", "Wall (s)", "Reads/s", "Speedup vs 1t",
+                         "P2 util", "Identical"});
+  for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+    core::PipelineOptions popts;
+    popts.threads = threads;
+    const std::string out_fastq =
+        (e2e_dir / ("out_" + std::to_string(threads) + ".fastq")).string();
+    core::PipelineResult res;
+    const double s = best_seconds(kRepeats, [&] {
+      core::CorrectionPipeline pipeline(
+          core::make_corrector("sap", e2e_config), popts);
+      res = pipeline.run_file(in_fastq, out_fastq);
+    });
+    const std::string bytes = slurp(out_fastq);
+    std::filesystem::remove(out_fastq);
+    if (threads == 1) {
+      e2e_reference = bytes;
+      e2e_1t_s = s;
     }
+    E2eRow row;
+    row.threads = threads;
+    row.oversubscribed = hw != 0 && threads > hw;
+    row.seconds = s;
+    row.reads_per_sec = nreads / s;
+    row.identical = bytes == e2e_reference;
+    row.pass1 = res.pass1_overlap;
+    row.pass2 = res.pass2_overlap;
+    all_identical = all_identical && row.identical;
+    e2e_rows.push_back(row);
+    e2e_table.add_row(
+        {std::to_string(threads) + (row.oversubscribed ? "*" : ""),
+         util::Table::fixed(s, 3),
+         util::Table::num(static_cast<std::uint64_t>(row.reads_per_sec)),
+         util::Table::fixed(e2e_1t_s / s, 2) + "x",
+         util::Table::fixed(util_pct(row.pass2), 0) + "%",
+         row.identical ? "yes" : "NO"});
   }
   std::filesystem::remove_all(e2e_dir);
   e2e_table.print(std::cout);
   std::cout << "(* = oversubscribed: more workers than the " << hw
-            << " hardware thread(s), overlap gains bounded by real "
-               "parallelism)\n";
+            << " hardware thread(s))\n";
 
   // --- JSON record. ---
   const char* json_path = std::getenv("NGS_BENCH_JSON");
@@ -320,16 +278,10 @@ int main() {
        << "  \"bases\": " << reads.total_bases() << ",\n"
        << "  \"k\": " << params.k << ",\n"
        << "  \"tile_length\": " << params.tile_length() << ",\n"
-       << "  \"hardware_threads\": " << hw << ",\n"
-       << "  \"best_dispatch\": \"" << util::simd::level_name(best_level)
-       << "\",\n"
+       << "  \"hardware\": " << hardware << ",\n"
        << "  \"phase1_build_s\": " << build_s << ",\n"
        << "  \"uncached_1t_s\": " << uncached_1t_s << ",\n"
-       << "  \"uncached_1t_scalar_s\": " << scalar_1t_s << ",\n"
        << "  \"cached_speedup_1t\": " << uncached_1t_s / cached_1t_s << ",\n"
-       << "  \"seed_uncached_reads_per_sec\": " << kSeedUncachedReadsPerSec
-       << ",\n"
-       << "  \"uncached_speedup_vs_seed\": " << speedup_vs_seed << ",\n"
        << "  \"all_outputs_identical\": " << (all_identical ? "true" : "false")
        << ",\n"
        << "  \"runs\": [\n";
@@ -337,10 +289,10 @@ int main() {
     const auto& r = rows[i];
     json << "    {\"threads\": " << r.threads
          << ", \"cache\": " << (r.cached ? "true" : "false")
-         << ", \"dispatch\": \"" << util::simd::level_name(r.dispatch)
-         << "\", \"oversubscribed\": " << (r.oversubscribed ? "true" : "false")
+         << ", \"oversubscribed\": " << (r.oversubscribed ? "true" : "false")
          << ", \"seconds\": " << r.seconds
          << ", \"reads_per_sec\": " << r.reads_per_sec
+         << ", \"speedup_vs_uncached_1t\": " << uncached_1t_s / r.seconds
          << ", \"hit_rate\": " << r.hit_rate
          << ", \"byte_identical\": " << (r.identical ? "true" : "false")
          << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -349,15 +301,15 @@ int main() {
        << "  \"end_to_end\": {\n"
        << "    \"method\": \"sap\",\n"
        << "    \"includes_io\": true,\n"
-       << "    \"serial_1t_s\": " << e2e_ref_s << ",\n"
+       << "    \"wall_1t_s\": " << e2e_1t_s << ",\n"
        << "    \"runs\": [\n";
   for (std::size_t i = 0; i < e2e_rows.size(); ++i) {
     const auto& r = e2e_rows[i];
-    json << "      {\"io_overlap\": " << (r.io_overlap ? "true" : "false")
-         << ", \"threads\": " << r.threads
+    json << "      {\"threads\": " << r.threads
          << ", \"oversubscribed\": " << (r.oversubscribed ? "true" : "false")
          << ", \"seconds\": " << r.seconds
          << ", \"reads_per_sec\": " << r.reads_per_sec
+         << ", \"speedup_vs_1t\": " << e2e_1t_s / r.seconds
          << ", \"byte_identical\": " << (r.identical ? "true" : "false")
          << ", \"pass1_reader_stall_s\": " << r.pass1.reader_stall_seconds
          << ", \"pass1_ingest_stall_s\": " << r.pass1.writer_stall_seconds

@@ -62,18 +62,203 @@ struct FileRemover {
   }
 };
 
-/// One unit of the overlapped pass 2: a batch of reads flowing
-/// reader → workers → writer through the PipelineExecutor. `in` views
-/// either `owned` (streamed path) or the buffered ReadSet; moving a
-/// chunk moves the vectors, which keeps their heap buffers — and
-/// therefore the span — valid.
+/// One unit of pass 2: a batch of reads flowing reader → workers →
+/// writer through the PipelineExecutor. `in` views either `owned`
+/// (streamed path) or the buffered ReadSet; moving a chunk moves the
+/// vectors, which keeps their heap buffers — and therefore the span —
+/// valid.
 struct Pass2Chunk {
   std::vector<seq::Read> owned;
   std::span<const seq::Read> in;
   std::vector<seq::Read> out;
 };
 
+/// Reads resident in one pass's own buffers (queued, being processed,
+/// or awaiting the writer) and their high-water mark, for the
+/// peak_buffered_reads bound.
+class InFlightReads {
+ public:
+  void add(std::size_t n) {
+    const std::size_t now = now_.fetch_add(n, std::memory_order_relaxed) + n;
+    std::size_t peak = peak_.load(std::memory_order_relaxed);
+    while (now > peak && !peak_.compare_exchange_weak(
+                             peak, now, std::memory_order_relaxed)) {
+    }
+  }
+  void remove(std::size_t n) { now_.fetch_sub(n, std::memory_order_relaxed); }
+  std::size_t peak() const { return peak_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::size_t> now_{0};
+  std::atomic<std::size_t> peak_{0};
+};
+
+/// Opens the input for one pass. Transient open failures are absorbed
+/// by a bounded exponential-backoff retry, counted into *retries.
+std::unique_ptr<std::istream> open_with_retry(const StreamFactory& open_input,
+                                              const PipelineOptions& options,
+                                              std::uint64_t* retries) {
+  const fault::RetryPolicy policy{std::max(1, options.io_retry_attempts),
+                                  std::max(0, options.io_retry_backoff_ms)};
+  return fault::with_retry(
+      policy,
+      [&]() -> std::unique_ptr<std::istream> {
+        // The transient site models an open that succeeds on retry (NFS
+        // hiccup, fd-limit race) and is absorbed by the budget; the hard
+        // open site models a missing/unreadable input.
+        fault::maybe_fail(fault::sites::kOpenInputTransient, ErrorKind::kIo,
+                          "cannot open input", /*transient=*/true);
+        fault::maybe_fail(fault::sites::kFastqOpen, ErrorKind::kIo,
+                          "cannot open input");
+        return open_input();
+      },
+      retries);
+}
+
 }  // namespace
+
+SpectrumBuild build_spectrum(const StreamFactory& open_input, int k,
+                             bool both_strands,
+                             const PipelineOptions& options,
+                             util::ThreadPool& pool) {
+  SpectrumBuild result;
+  std::optional<util::ThreadPool> spectrum_pool;
+  if (options.spectrum_threads > 0) {
+    spectrum_pool.emplace(options.spectrum_threads);
+  }
+  kspec::SpillOptions spill;
+  spill.memory_budget_bytes = options.memory_budget_bytes;
+  spill.spill_dir = options.spill_dir;
+  kspec::ChunkedSpectrumBuilder builder(
+      k, both_strands, options.spectrum_batch_instances,
+      spectrum_pool ? &*spectrum_pool : &pool, spill);
+  auto is = open_with_retry(open_input, options, &result.io_retries);
+  io::FastqStreamReader reader(*is);
+  reader.set_bad_record_policy(options.on_bad_record);
+
+  // Overlapped ingest: a dedicated reader thread parses batches ahead
+  // through a bounded queue while this thread streams them into the
+  // builder — parsing and kmer extraction (including batch sorts and
+  // spill writes) proceed concurrently instead of taking turns. The
+  // builder itself is only ever touched from this thread, so it needs
+  // no locking.
+  const util::Timer pass1_timer;
+  InFlightReads in_flight;
+  util::BoundedQueue<std::vector<seq::Read>> queue(
+      std::max<std::size_t>(1, options.queue_depth));
+  std::vector<std::vector<seq::Read>> batch_recycle;
+  std::mutex batch_recycle_mutex;
+  std::exception_ptr reader_error;
+  const std::size_t batch_size = std::max<std::size_t>(1, options.batch_size);
+  std::thread reader_thread([&] {
+    try {
+      for (;;) {
+        fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
+                          "pass-1 read-ahead failed");
+        std::vector<seq::Read> batch;
+        {
+          std::lock_guard<std::mutex> lock(batch_recycle_mutex);
+          if (!batch_recycle.empty()) {
+            batch = std::move(batch_recycle.back());
+            batch_recycle.pop_back();
+          }
+        }
+        batch.clear();
+        if (reader.read_batch(batch, batch_size) == 0) break;
+        in_flight.add(batch.size());
+        if (!queue.push(std::move(batch))) break;
+      }
+    } catch (...) {
+      reader_error = std::current_exception();
+    }
+    queue.close();
+  });
+  std::size_t batches_ingested = 0;
+  try {
+    std::vector<seq::Read> batch;
+    while (queue.pop(batch)) {
+      builder.add_read_batch(batch);
+      for (const auto& r : batch) result.input.add(r);
+      in_flight.remove(batch.size());
+      ++batches_ingested;
+      batch.clear();
+      std::lock_guard<std::mutex> lock(batch_recycle_mutex);
+      batch_recycle.push_back(std::move(batch));
+      batch = std::vector<seq::Read>();
+    }
+  } catch (...) {
+    // Ingest (spill write, sort) failed: unblock a reader stuck on a
+    // full queue, reap the thread, then surface the error.
+    queue.abort();
+    reader_thread.join();
+    throw;
+  }
+  reader_thread.join();
+  if (reader_error) std::rethrow_exception(reader_error);
+  auto& s1 = result.overlap;
+  s1.items = batches_ingested;
+  s1.queue_peak = queue.peak_size();
+  s1.workers = 1;
+  s1.reader_busy_seconds = reader.parse_seconds();
+  s1.reader_stall_seconds = queue.push_wait_seconds();
+  s1.writer_busy_seconds = builder.ingest_seconds();
+  s1.writer_stall_seconds = queue.pop_wait_seconds();
+  s1.elapsed_seconds = pass1_timer.seconds();
+  result.peak_buffered_reads = in_flight.peak();
+  result.reads_skipped = reader.records_skipped();
+
+  ngs::index::IndexBuildInfo build;
+  build.k = k;
+  build.both_strands = both_strands;
+  build.input_reads = result.input.reads;
+  build.input_bases = result.input.bases;
+  build.max_read_length =
+      static_cast<std::uint32_t>(result.input.max_read_length);
+  result.index_path = options.save_index_path;
+  if (builder.spilled()) {
+    builder.flush_spill();
+    result.spilled = true;
+    result.spill_bytes = builder.spill_bytes();
+  }
+  const std::size_t bins = result.spilled ? builder.spill_nonempty_bins() : 0;
+  if (bins > 1) {
+    // Out-of-core finalization: stream the sorted prefix bins straight
+    // into a sharded index file — the full spectrum never exists in this
+    // process — then serve the spectrum from the file's lazily mapped
+    // shards. Without a save path the file is transient; it is removed
+    // here if anything below fails, and by the caller otherwise.
+    FileRemover cleanup;
+    if (result.index_path.empty()) {
+      result.index_path = transient_index_path(builder.spill_dir());
+      result.index_transient = true;
+      cleanup.path = result.index_path;
+    }
+    {
+      ngs::index::ShardedIndexWriter writer(
+          result.index_path, build, builder.spill_shard_bits(), bins);
+      builder.finish_spilled(
+          [&writer](kspec::ChunkedSpectrumBuilder::SortedRun&& run) {
+            writer.append_shard(run.prefix, std::move(run.codes),
+                                std::move(run.counts));
+          });
+      result.index_checksum = writer.finish();
+    }
+    const auto index = ngs::index::SpectrumIndex::load(result.index_path);
+    result.index_shards = index.info().shard_count;
+    result.spectrum = index.share_spectrum();
+    cleanup.path.clear();
+  } else {
+    // In memory, or a single non-empty spill bin: finish() rebuilds the
+    // monolithic arrays, so the save below writes version-1 bytes.
+    result.spectrum = builder.finish();
+    if (!result.index_path.empty()) {
+      result.index_checksum = ngs::index::write_spectrum_index(
+          result.index_path, result.spectrum, build);
+    }
+  }
+  result.peak_tracked_bytes = builder.peak_tracked_bytes();
+  return result;
+}
 
 CorrectionPipeline::CorrectionPipeline(std::unique_ptr<Corrector> corrector,
                                        PipelineOptions options)
@@ -130,32 +315,10 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
   if (options_.threads > 0) own_pool.emplace(options_.threads);
   util::ThreadPool& pool = own_pool ? *own_pool : util::default_pool();
   const std::size_t batch_size = options_.batch_size;
-  const bool overlap = options_.io_overlap;
   const std::size_t exec_workers = pool.size();
-  // One slot per concurrent corrector plus one for inline callers.
-  ensure_scratch_slots(exec_workers + 1);
+  // One scratch slot per executor worker.
+  ensure_scratch_slots(exec_workers);
 
-  // Transient input-open failures are absorbed by a bounded
-  // exponential-backoff retry; the count is surfaced as io_retries.
-  const fault::RetryPolicy retry_policy{
-      std::max(1, options_.io_retry_attempts),
-      std::max(0, options_.io_retry_backoff_ms)};
-  const auto open_with_retry = [&]() {
-    return fault::with_retry(
-        retry_policy,
-        [&]() -> std::unique_ptr<std::istream> {
-          // The transient site models an open that succeeds on retry
-          // (NFS hiccup, fd-limit race) and is absorbed by the budget;
-          // the hard open site models a missing/unreadable input.
-          fault::maybe_fail(fault::sites::kOpenInputTransient,
-                            ErrorKind::kIo, "cannot open input",
-                            /*transient=*/true);
-          fault::maybe_fail(fault::sites::kFastqOpen, ErrorKind::kIo,
-                            "cannot open input");
-          return open_input();
-        },
-        &result.io_retries);
-  };
   // One batch-write primitive for every path below: injectable, and any
   // stream failure is a typed I/O error instead of a silent bad() bit.
   const auto write_batch = [&out](std::span<const seq::Read> reads) {
@@ -168,92 +331,74 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     }
   };
 
-  // Reads resident in the overlapped stages' own buffers (queued +
-  // in-correction + awaiting the in-order writer), for the
-  // peak_buffered_reads bound.
-  std::atomic<std::size_t> in_flight_reads{0};
-  std::atomic<std::size_t> in_flight_peak{0};
-  const auto in_flight_add = [&](std::size_t n) {
-    const std::size_t now =
-        in_flight_reads.fetch_add(n, std::memory_order_relaxed) + n;
-    std::size_t peak = in_flight_peak.load(std::memory_order_relaxed);
-    while (now > peak && !in_flight_peak.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-  };
-
-  // Overlapped pass 2: reader thread → bounded queue → dynamic workers
-  // → order-restoring writer (this thread), on util::PipelineExecutor.
-  // `fill` produces the next chunk (serially, on the reader thread);
-  // spent chunks are recycled so steady state allocates nothing.
+  // Pass 2 of every batch-capable method: reader thread → bounded queue
+  // → dynamic workers → order-restoring writer (this thread), on
+  // util::PipelineExecutor. `fill` produces the next chunk (serially,
+  // on the reader thread); spent chunks are recycled so steady state
+  // allocates nothing.
+  InFlightReads in_flight;
   std::vector<Pass2Chunk> chunk_recycle;
   std::mutex recycle_mutex;
-  const auto run_pass2_overlapped =
-      [&](const std::function<bool(Pass2Chunk&)>& fill) {
-        util::PipelineExecutorOptions exec_options;
-        exec_options.workers = exec_workers;
-        exec_options.queue_depth = options_.queue_depth;
-        util::PipelineExecutor<Pass2Chunk> executor(exec_options);
-        std::mutex report_mutex;
-        const auto stats = executor.run(
-            [&](Pass2Chunk& chunk) -> bool {
-              fault::maybe_fail(fault::sites::kPipelineReader,
-                                ErrorKind::kIo, "pass-2 read-ahead failed");
-              {
-                std::lock_guard<std::mutex> lock(recycle_mutex);
-                if (!chunk_recycle.empty()) {
-                  chunk = std::move(chunk_recycle.back());
-                  chunk_recycle.pop_back();
-                }
-              }
-              chunk.owned.clear();
-              chunk.out.clear();
-              chunk.in = {};
-              if (!fill(chunk)) return false;
-              in_flight_add(chunk.in.size());
-              return true;
-            },
-            [&](Pass2Chunk& chunk, std::size_t worker) {
-              CorrectionReport local;
-              auto scratch = acquire_scratch(worker);
-              chunk.out.reserve(chunk.in.size());
-              correct_span(chunk.in, chunk.out, local, scratch.get());
-              release_scratch(std::move(scratch), worker);
-              std::lock_guard<std::mutex> lock(report_mutex);
-              result.report.merge(local);
-            },
-            [&](Pass2Chunk&& chunk) {
-              fault::maybe_fail(fault::sites::kPipelineWriter,
-                                ErrorKind::kIo,
-                                "pass-2 ordered write failed");
-              write_batch(std::span<const seq::Read>(chunk.out));
-              ++result.batches;
-              in_flight_reads.fetch_sub(chunk.in.size(),
-                                        std::memory_order_relaxed);
-              chunk.owned.clear();
-              chunk.out.clear();
-              chunk.in = {};
-              std::lock_guard<std::mutex> lock(recycle_mutex);
-              chunk_recycle.push_back(std::move(chunk));
-            });
-        result.overlapped = true;
-        auto& s2 = result.pass2_overlap;
-        s2.items = stats.items;
-        s2.queue_peak = stats.queue_peak;
-        s2.reorder_peak = stats.reorder_peak;
-        s2.workers = exec_workers;
-        s2.reader_busy_seconds = stats.reader_busy_seconds;
-        s2.reader_stall_seconds = stats.reader_stall_seconds;
-        s2.worker_stall_seconds = stats.worker_stall_seconds;
-        s2.writer_busy_seconds = stats.writer_busy_seconds;
-        s2.writer_stall_seconds = stats.writer_stall_seconds;
-        s2.elapsed_seconds = stats.elapsed_seconds;
-        result.pass2_seconds += stats.elapsed_seconds;
-      };
+  const auto run_pass2 = [&](const std::function<bool(Pass2Chunk&)>& fill) {
+    util::PipelineExecutorOptions exec_options;
+    exec_options.workers = exec_workers;
+    exec_options.queue_depth = options_.queue_depth;
+    util::PipelineExecutor<Pass2Chunk> executor(exec_options);
+    std::mutex report_mutex;
+    const auto stats = executor.run(
+        [&](Pass2Chunk& chunk) -> bool {
+          fault::maybe_fail(fault::sites::kPipelineReader, ErrorKind::kIo,
+                            "pass-2 read-ahead failed");
+          {
+            std::lock_guard<std::mutex> lock(recycle_mutex);
+            if (!chunk_recycle.empty()) {
+              chunk = std::move(chunk_recycle.back());
+              chunk_recycle.pop_back();
+            }
+          }
+          chunk.owned.clear();
+          chunk.out.clear();
+          chunk.in = {};
+          if (!fill(chunk)) return false;
+          in_flight.add(chunk.in.size());
+          return true;
+        },
+        [&](Pass2Chunk& chunk, std::size_t worker) {
+          CorrectionReport local;
+          auto scratch = acquire_scratch(worker);
+          chunk.out.reserve(chunk.in.size());
+          correct_span(chunk.in, chunk.out, local, scratch.get());
+          release_scratch(std::move(scratch), worker);
+          std::lock_guard<std::mutex> lock(report_mutex);
+          result.report.merge(local);
+        },
+        [&](Pass2Chunk&& chunk) {
+          fault::maybe_fail(fault::sites::kPipelineWriter, ErrorKind::kIo,
+                            "pass-2 ordered write failed");
+          write_batch(std::span<const seq::Read>(chunk.out));
+          ++result.batches;
+          in_flight.remove(chunk.in.size());
+          chunk.owned.clear();
+          chunk.out.clear();
+          chunk.in = {};
+          std::lock_guard<std::mutex> lock(recycle_mutex);
+          chunk_recycle.push_back(std::move(chunk));
+        });
+    auto& s2 = result.pass2_overlap;
+    s2.items = stats.items;
+    s2.queue_peak = stats.queue_peak;
+    s2.reorder_peak = stats.reorder_peak;
+    s2.workers = exec_workers;
+    s2.reader_busy_seconds = stats.reader_busy_seconds;
+    s2.reader_stall_seconds = stats.reader_stall_seconds;
+    s2.worker_stall_seconds = stats.worker_stall_seconds;
+    s2.writer_busy_seconds = stats.writer_busy_seconds;
+    s2.writer_stall_seconds = stats.writer_stall_seconds;
+    s2.elapsed_seconds = stats.elapsed_seconds;
+    result.pass2_seconds += stats.elapsed_seconds;
+  };
 
-  std::vector<seq::Read> in_batch, out_batch;
   std::uint64_t index_checksum = 0;
-  std::uint64_t pass1_skipped_records = 0;
   bool index_saved = false;
   // Outlives pass 2: the transient sharded index of a budget run must
   // stay on disk while the lazy view still serves shards from it.
@@ -291,189 +436,38 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
       index_checksum = info.checksum;
       corrector_->build_from_spectrum(index.share_spectrum(), result.input);
     } else {
-      // Pass 1: stream batches into the bounded-memory spectrum builder.
-      // Batch sorts and run merges run on their own pool when
-      // spectrum_threads is set, otherwise on the correction pool.
-      std::optional<util::ThreadPool> spectrum_pool;
-      if (options_.spectrum_threads > 0) {
-        spectrum_pool.emplace(options_.spectrum_threads);
-      }
-      kspec::SpillOptions spill;
-      spill.memory_budget_bytes = options_.memory_budget_bytes;
-      spill.spill_dir = options_.spill_dir;
-      kspec::ChunkedSpectrumBuilder builder(
-          corrector_->spectrum_k(), corrector_->spectrum_both_strands(),
-          options_.spectrum_batch_instances,
-          spectrum_pool ? &*spectrum_pool : &pool, spill);
-      auto is = open_with_retry();
-      io::FastqStreamReader reader(*is);
-      reader.set_bad_record_policy(options_.on_bad_record);
-      if (overlap) {
-        // Overlapped ingest: a dedicated reader thread parses batches
-        // ahead through a bounded queue while this thread streams them
-        // into the builder — parsing and kmer extraction (including
-        // batch sorts and spill writes) proceed concurrently instead of
-        // taking turns. The builder itself is only ever touched from
-        // this thread, so it needs no locking.
-        const util::Timer pass1_timer;
-        util::BoundedQueue<std::vector<seq::Read>> queue(
-            options_.queue_depth);
-        std::vector<std::vector<seq::Read>> batch_recycle;
-        std::mutex batch_recycle_mutex;
-        std::exception_ptr reader_error;
-        std::thread reader_thread([&] {
-          try {
-            for (;;) {
-              fault::maybe_fail(fault::sites::kPipelineReader,
-                                ErrorKind::kIo, "pass-1 read-ahead failed");
-              std::vector<seq::Read> batch;
-              {
-                std::lock_guard<std::mutex> lock(batch_recycle_mutex);
-                if (!batch_recycle.empty()) {
-                  batch = std::move(batch_recycle.back());
-                  batch_recycle.pop_back();
-                }
-              }
-              batch.clear();
-              if (reader.read_batch(batch, batch_size) == 0) break;
-              in_flight_add(batch.size());
-              if (!queue.push(std::move(batch))) break;
-            }
-          } catch (...) {
-            reader_error = std::current_exception();
-          }
-          queue.close();
-        });
-        std::size_t batches_ingested = 0;
-        try {
-          std::vector<seq::Read> batch;
-          while (queue.pop(batch)) {
-            builder.add_read_batch(batch);
-            for (const auto& r : batch) result.input.add(r);
-            in_flight_reads.fetch_sub(batch.size(),
-                                      std::memory_order_relaxed);
-            ++batches_ingested;
-            batch.clear();
-            std::lock_guard<std::mutex> lock(batch_recycle_mutex);
-            batch_recycle.push_back(std::move(batch));
-            batch = std::vector<seq::Read>();
-          }
-        } catch (...) {
-          // Ingest (spill write, sort) failed: unblock a reader stuck
-          // on a full queue, reap the thread, then surface the error.
-          queue.abort();
-          reader_thread.join();
-          throw;
-        }
-        reader_thread.join();
-        if (reader_error) std::rethrow_exception(reader_error);
-        auto& s1 = result.pass1_overlap;
-        s1.items = batches_ingested;
-        s1.queue_peak = queue.peak_size();
-        s1.workers = 1;
-        s1.reader_busy_seconds = reader.parse_seconds();
-        s1.reader_stall_seconds = queue.push_wait_seconds();
-        s1.writer_busy_seconds = builder.ingest_seconds();
-        s1.writer_stall_seconds = queue.pop_wait_seconds();
-        s1.elapsed_seconds = pass1_timer.seconds();
-      } else {
-        while (reader.read_batch(in_batch, batch_size) > 0) {
-          for (const auto& r : in_batch) {
-            builder.add_read(r.bases);
-            result.input.add(r);
-          }
-          result.peak_buffered_reads =
-              std::max(result.peak_buffered_reads, in_batch.size());
-          in_batch.clear();
-        }
-      }
-      pass1_skipped_records = reader.records_skipped();
-      ngs::index::IndexBuildInfo build;
-      build.k = corrector_->spectrum_k();
-      build.both_strands = corrector_->spectrum_both_strands();
-      build.input_reads = result.input.reads;
-      build.input_bases = result.input.bases;
-      build.max_read_length =
-          static_cast<std::uint32_t>(result.input.max_read_length);
-      bool spectrum_built = false;
-      if (builder.spilled()) {
-        builder.flush_spill();
-        result.spectrum_spilled = true;
-        result.spectrum_spilled_bytes = builder.spill_bytes();
-        const std::size_t bins = builder.spill_nonempty_bins();
-        if (bins > 1) {
-          // Out-of-core finalization: stream the sorted prefix bins
-          // straight into a sharded index file — the full spectrum
-          // never exists in this process — then serve pass 2 from the
-          // file's lazily mapped shards. Saved when the caller asked
-          // for an index; otherwise a transient file removed at scope
-          // exit (see FileRemover).
-          const bool keep = !options_.save_index_path.empty();
-          const std::string index_path =
-              keep ? options_.save_index_path
-                   : transient_index_path(builder.spill_dir());
-          if (!keep) temp_index.path = index_path;
-          {
-            ngs::index::ShardedIndexWriter writer(
-                index_path, build, builder.spill_shard_bits(), bins);
-            builder.finish_spilled(
-                [&writer](kspec::ChunkedSpectrumBuilder::SortedRun&& run) {
-                  writer.append_shard(run.prefix, std::move(run.codes),
-                                      std::move(run.counts));
-                });
-            index_checksum = writer.finish();
-          }
-          index_saved = keep;
-          const auto index = ngs::index::SpectrumIndex::load(index_path);
-          result.spectrum_shards = index.info().shard_count;
-          corrector_->build_from_spectrum(index.share_spectrum(),
-                                          result.input);
-          spectrum_built = true;
-        }
-        // A single non-empty bin falls through to finish(): the
-        // concatenation path rebuilds the monolithic arrays, so the
-        // save below still writes byte-identical version-1 output.
-      }
-      if (!spectrum_built) {
-        kspec::KSpectrum spectrum = builder.finish();
-        if (!options_.save_index_path.empty()) {
-          index_checksum = ngs::index::write_spectrum_index(
-              options_.save_index_path, spectrum, build);
-          index_saved = true;
-        }
-        corrector_->build_from_spectrum(std::move(spectrum), result.input);
-      }
-      result.spectrum_peak_tracked_bytes = builder.peak_tracked_bytes();
+      auto built = build_spectrum(open_input, corrector_->spectrum_k(),
+                                  corrector_->spectrum_both_strands(),
+                                  options_, pool);
+      if (built.index_transient) temp_index.path = built.index_path;
+      index_saved = !built.index_path.empty() && !built.index_transient;
+      index_checksum = built.index_checksum;
+      result.input = built.input;
+      result.peak_buffered_reads = built.peak_buffered_reads;
+      result.pass1_overlap = built.overlap;
+      result.reads_skipped = built.reads_skipped;
+      result.io_retries += built.io_retries;
+      result.spectrum_spilled = built.spilled;
+      result.spectrum_spilled_bytes = built.spill_bytes;
+      result.spectrum_shards = built.index_shards;
+      result.spectrum_peak_tracked_bytes = built.peak_tracked_bytes;
+      corrector_->build_from_spectrum(std::move(built.spectrum),
+                                      result.input);
     }
-    // Pass 2: re-stream, correct batches in parallel, write in order —
-    // on the overlapped executor by default, or the serial stop-and-go
-    // loop with --io-overlap=off.
-    auto is = open_with_retry();
+    // Pass 2: re-stream, correct batches in parallel, write in order.
+    auto is = open_with_retry(open_input, options_, &result.io_retries);
     io::FastqStreamReader reader(*is);
     reader.set_bad_record_policy(options_.on_bad_record);
-    if (overlap) {
-      run_pass2_overlapped([&](Pass2Chunk& chunk) {
-        if (reader.read_batch(chunk.owned, batch_size) == 0) return false;
-        chunk.in = std::span<const seq::Read>(chunk.owned);
-        return true;
-      });
-    } else {
-      while (reader.read_batch(in_batch, batch_size) > 0) {
-        result.peak_buffered_reads =
-            std::max(result.peak_buffered_reads, in_batch.size());
-        util::Timer pass2_timer;
-        correct_batch_parallel(pool, in_batch, out_batch, result.report);
-        result.pass2_seconds += pass2_timer.seconds();
-        write_batch(std::span<const seq::Read>(out_batch));
-        ++result.batches;
-        in_batch.clear();
-      }
-    }
+    run_pass2([&](Pass2Chunk& chunk) {
+      if (reader.read_batch(chunk.owned, batch_size) == 0) return false;
+      chunk.in = std::span<const seq::Read>(chunk.owned);
+      return true;
+    });
     // A genuinely malformed record is dropped by both passes, so take
     // the max rather than the sum (summing would double-count it;
     // taking only pass 2 would hide a record dropped by pass 1 alone).
     result.reads_skipped =
-        std::max(pass1_skipped_records, reader.records_skipped());
+        std::max(result.reads_skipped, reader.records_skipped());
   } else {
     if (!options_.load_index_path.empty() ||
         !options_.save_index_path.empty()) {
@@ -486,7 +480,7 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     // Buffered path: one pass to load, then batch (or whole-set) correct.
     seq::ReadSet all;
     {
-      auto is = open_with_retry();
+      auto is = open_with_retry(open_input, options_, &result.io_retries);
       io::FastqStreamReader reader(*is);
       reader.set_bad_record_policy(options_.on_bad_record);
       while (reader.read_batch(all.reads, batch_size) > 0) {
@@ -497,32 +491,17 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     result.peak_buffered_reads = all.reads.size();
     corrector_->build(all);
     if (corrector_->supports_batches()) {
-      if (overlap) {
-        // The input is already resident, but correction and output
-        // writing still overlap: chunks view the buffered ReadSet, so
-        // the executor adds no copies.
-        std::size_t offset = 0;
-        run_pass2_overlapped([&](Pass2Chunk& chunk) {
-          if (offset >= all.reads.size()) return false;
-          const std::size_t n =
-              std::min(batch_size, all.reads.size() - offset);
-          chunk.in = std::span<const seq::Read>(all.reads.data() + offset, n);
-          offset += n;
-          return true;
-        });
-      } else {
-        for (std::size_t offset = 0; offset < all.reads.size();
-             offset += batch_size) {
-          const std::size_t n =
-              std::min(batch_size, all.reads.size() - offset);
-          util::Timer pass2_timer;
-          correct_batch_parallel(pool, {all.reads.data() + offset, n},
-                                 out_batch, result.report);
-          result.pass2_seconds += pass2_timer.seconds();
-          write_batch(std::span<const seq::Read>(out_batch));
-          ++result.batches;
-        }
-      }
+      // The input is already resident, but correction and output
+      // writing still overlap: chunks view the buffered ReadSet, so the
+      // executor adds no copies.
+      std::size_t offset = 0;
+      run_pass2([&](Pass2Chunk& chunk) {
+        if (offset >= all.reads.size()) return false;
+        const std::size_t n = std::min(batch_size, all.reads.size() - offset);
+        chunk.in = std::span<const seq::Read>(all.reads.data() + offset, n);
+        offset += n;
+        return true;
+      });
     } else {
       util::Timer pass2_timer;
       const auto corrected = corrector_->correct_all(all, result.report);
@@ -537,8 +516,7 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
     }
   }
   result.peak_buffered_reads =
-      std::max(result.peak_buffered_reads,
-               in_flight_peak.load(std::memory_order_relaxed));
+      std::max(result.peak_buffered_reads, in_flight.peak());
   out.flush();
   if (!out) {
     throw Error(ErrorKind::kIo, fault::sites::kOutputWrite,
@@ -563,13 +541,12 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
                                    result.pass2_seconds));
   }
   // Overlap telemetry: where the stages' time went and how full the
-  // buffers got. Only on overlapped runs, so --io-overlap=off (and the
-  // whole-set methods) keep reports byte-identical to previous releases.
-  if (result.overlapped) {
+  // buffers got. Only when pass 2 ran on the executor, so whole-set
+  // methods keep reports byte-identical to previous releases.
+  if (result.pass2_overlap.workers > 0) {
     const auto ms = [](double seconds) {
       return static_cast<std::uint64_t>(seconds * 1000.0 + 0.5);
     };
-    result.report.bump("io_overlap", 1);
     result.report.bump("queue_depth", options_.queue_depth);
     if (result.pass1_overlap.workers > 0) {
       const auto& s1 = result.pass1_overlap;
@@ -579,26 +556,20 @@ PipelineResult CorrectionPipeline::run(const StreamFactory& open_input,
                          ms(s1.writer_stall_seconds));
       result.report.bump("pass1_queue_peak", s1.queue_peak);
     }
-    if (result.pass2_overlap.workers > 0) {
-      const auto& s2 = result.pass2_overlap;
-      result.report.bump("pass2_reader_stall_ms",
-                         ms(s2.reader_stall_seconds));
-      result.report.bump("pass2_writer_stall_ms",
-                         ms(s2.writer_stall_seconds));
-      result.report.bump("pass2_worker_stall_ms",
-                         ms(s2.worker_stall_seconds));
-      result.report.bump("pass2_queue_peak", s2.queue_peak);
-      result.report.bump("pass2_reorder_peak", s2.reorder_peak);
-      double util = 0.0;
-      if (s2.elapsed_seconds > 0.0 && s2.workers > 0) {
-        util = 1.0 - s2.worker_stall_seconds /
-                         (s2.elapsed_seconds *
-                          static_cast<double>(s2.workers));
-        if (util < 0.0) util = 0.0;
-      }
-      result.report.bump("pass2_worker_util_pct",
-                         static_cast<std::uint64_t>(util * 100.0 + 0.5));
+    const auto& s2 = result.pass2_overlap;
+    result.report.bump("pass2_reader_stall_ms", ms(s2.reader_stall_seconds));
+    result.report.bump("pass2_writer_stall_ms", ms(s2.writer_stall_seconds));
+    result.report.bump("pass2_worker_stall_ms", ms(s2.worker_stall_seconds));
+    result.report.bump("pass2_queue_peak", s2.queue_peak);
+    result.report.bump("pass2_reorder_peak", s2.reorder_peak);
+    double util = 0.0;
+    if (s2.elapsed_seconds > 0.0) {
+      util = 1.0 - s2.worker_stall_seconds /
+                       (s2.elapsed_seconds * static_cast<double>(s2.workers));
+      if (util < 0.0) util = 0.0;
     }
+    result.report.bump("pass2_worker_util_pct",
+                       static_cast<std::uint64_t>(util * 100.0 + 0.5));
   }
   // Degradation accounting: what was dropped, passed through, or
   // retried — zero-valued keys are omitted so fault-free reports are
@@ -708,33 +679,6 @@ void CorrectionPipeline::correct_span(std::span<const seq::Read> in,
     }
   }
   local.bump("batches_salvaged", 1);
-}
-
-void CorrectionPipeline::correct_batch_parallel(util::ThreadPool& pool,
-                                                std::span<const seq::Read> in,
-                                                std::vector<seq::Read>& out,
-                                                CorrectionReport& report) {
-  out.clear();
-  out.resize(in.size());
-  std::mutex report_mutex;
-  // Dynamic claiming: workers grab blocks off a shared atomic ticket,
-  // so a straggler block delays only itself instead of holding the
-  // whole static-partition barrier hostage.
-  pool.parallel_for_dynamic(
-      0, in.size(), 0, [&](std::size_t lo, std::size_t hi) {
-        CorrectionReport local;
-        std::vector<seq::Read> block;
-        block.reserve(hi - lo);
-        const std::size_t hint = util::ThreadPool::worker_index();
-        auto scratch = acquire_scratch(hint);
-        correct_span(in.subspan(lo, hi - lo), block, local, scratch.get());
-        release_scratch(std::move(scratch), hint);
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          out[lo + i] = std::move(block[i]);
-        }
-        std::lock_guard<std::mutex> lock(report_mutex);
-        report.merge(local);
-      });
 }
 
 }  // namespace ngs::core

@@ -12,15 +12,16 @@
 //   pass 2 — batches are corrected in parallel and written to the
 //            output FASTQ in input order.
 //
-// With io_overlap (the default) both passes run on an overlapped
-// streaming plan instead of the stop-and-go read → compute → write
-// loop: pass 1 parses on a dedicated reader thread while the main
-// thread ingests into the spectrum builder, and pass 2 runs on a
-// util::PipelineExecutor (reader thread → bounded queue → dynamic
-// workers → order-restoring writer). Stage telemetry (stall seconds,
-// queue/reorder occupancy peaks, worker utilization) lands in
-// PipelineResult and the report extras. io_overlap=false reproduces the
-// serial loops exactly.
+// Each pass has one loop. Pass 1 of the streaming methods is
+// build_spectrum(), shared with `ngs-index build`: a dedicated reader
+// thread parses batches ahead through a bounded queue while the calling
+// thread ingests them into the spectrum builder, and the function owns
+// the choice of index format when the spectrum is persisted. Pass 2
+// runs every batch-capable method on a util::PipelineExecutor (reader
+// thread → bounded queue → dynamic workers → order-restoring writer);
+// whole-set methods run their native Corrector::correct_all. Stage
+// telemetry (stall seconds, queue/reorder occupancy peaks, worker
+// utilization) lands in PipelineResult and the report extras.
 //
 // Output is byte-identical to the in-memory Corrector::correct_all path
 // for every method, at every thread count and queue depth (reads are
@@ -38,6 +39,7 @@
 
 #include "core/corrector.hpp"
 #include "io/fastq_stream.hpp"
+#include "kspec/kspectrum.hpp"
 
 namespace ngs::util {
 class ThreadPool;
@@ -56,20 +58,11 @@ struct PipelineOptions {
   std::size_t spectrum_threads = 0;
   /// Kmer instances buffered per ChunkedSpectrumBuilder batch in pass 1.
   std::size_t spectrum_batch_instances = 1 << 20;
-  /// Overlap file I/O with compute (ngs-correct --io-overlap): a
-  /// dedicated reader thread double-buffers FASTQ batches ahead of the
-  /// spectrum build in pass 1 and ahead of the correction workers in
-  /// pass 2, and a dedicated in-order writer drains pass 2 — so parsing,
-  /// correcting, and writing proceed concurrently instead of taking
-  /// turns. Output is byte-identical either way; false reproduces the
-  /// serial stop-and-go loops exactly (and zeroes the overlap
-  /// telemetry).
-  bool io_overlap = true;
-  /// Bounded read-ahead of the overlapped paths (ngs-correct
-  /// --queue-depth): how many parsed batches the reader may run ahead
-  /// of compute. Total in-flight batches in pass 2 stay under
-  /// queue_depth + 2*workers + 1 (the executor's documented cap), so
-  /// memory remains O(batch_size x small constant).
+  /// Bounded read-ahead of both passes (ngs-correct --queue-depth): how
+  /// many parsed batches the reader thread may run ahead of compute.
+  /// Total in-flight batches in pass 2 stay under queue_depth +
+  /// 2*workers + 1 (the executor's documented cap), so memory remains
+  /// O(batch_size x small constant).
   std::size_t queue_depth = 4;
   /// Path of a persisted spectrum index (ngs::index) to mmap instead of
   /// building pass 1 from the reads; empty = build fresh. Only valid
@@ -109,8 +102,8 @@ struct PipelineOptions {
   int io_retry_backoff_ms = 5;
 };
 
-/// Stage telemetry of one overlapped pass (all zero when the pass ran
-/// serially): where the wall time went and how full the buffers got.
+/// Stage telemetry of one overlapped pass (all zero when the pass did
+/// not run): where the wall time went and how full the buffers got.
 /// "Stall" is time a stage spent blocked on its neighbors — reader
 /// stalls mean compute is the bottleneck; worker/writer stalls mean
 /// input I/O is.
@@ -138,28 +131,25 @@ struct PipelineResult {
   /// Number of output batches written.
   std::size_t batches = 0;
   /// Largest number of reads resident in the pipeline's own buffers at
-  /// any point: <= batch_size on the serial streamed path, <=
-  /// batch_size * (queue_depth + 2*workers + 1) on the overlapped
+  /// any point: <= batch_size * (queue_depth + 2*workers + 1) on the
   /// streamed path, the whole input on the buffered path.
   std::size_t peak_buffered_reads = 0;
   /// util::peak_rss_bytes() sampled at completion (process-wide telemetry).
   std::uint64_t peak_rss_bytes = 0;
   /// True when phase 1 ran from the streamed spectrum.
   bool streamed = false;
-  /// True when the run used the overlapped executor (io_overlap on and
-  /// the method supports batches).
-  bool overlapped = false;
   /// True when phase 1 was skipped entirely in favor of a loaded
   /// spectrum index (report extras then carry index_path/index_checksum
   /// /pass1_skipped provenance).
   bool pass1_skipped = false;
-  /// Per-stage telemetry of the overlapped passes (zero when serial;
-  /// pass1_overlap only on the streamed-spectrum path).
+  /// Per-stage telemetry of the overlapped passes (pass1_overlap only
+  /// when build_spectrum ran; pass2_overlap only for batch-capable
+  /// methods, zero for whole-set ones).
   OverlapStageStats pass1_overlap;
   OverlapStageStats pass2_overlap;
-  /// Wall time of phase 2. Serial paths: batch correction only
-  /// (excludes reading and writing). Overlapped pass 2: the whole
-  /// read+correct+write pipeline, since the stages run concurrently.
+  /// Wall time of phase 2. Batch-capable methods: the whole
+  /// read+correct+write executor run, since the stages run concurrently.
+  /// Whole-set methods: correct_all only (excludes writing).
   /// report.extra("pass2_reads_per_sec") derives from it.
   double pass2_seconds = 0.0;
   /// Malformed records dropped across all passes under
@@ -184,11 +174,61 @@ struct PipelineResult {
   std::uint64_t spectrum_peak_tracked_bytes = 0;
 };
 
+/// Reopenable input source: called once per pass, returning a fresh
+/// stream over the same bytes.
+using StreamFactory = std::function<std::unique_ptr<std::istream>()>;
+
+/// What pass 1 of a streaming method produced (see build_spectrum).
+struct SpectrumBuild {
+  /// The counted k-spectrum: owned in memory, or a lazy view of the
+  /// sharded index file when the build spilled into more than one bin.
+  kspec::KSpectrum spectrum;
+  /// Reads, bases and max read length of the records counted.
+  InputSummary input;
+  /// Index file written by the build ("" = none), its checksum, and its
+  /// shard count (0 = monolithic version 1).
+  std::string index_path;
+  std::uint64_t index_checksum = 0;
+  std::size_t index_shards = 0;
+  /// True when index_path is a transient file of this build (a spilled
+  /// build with no save_index_path) that `spectrum` still reads from;
+  /// the caller removes it once done with the spectrum.
+  bool index_transient = false;
+  /// Spill-path telemetry (see ChunkedSpectrumBuilder).
+  bool spilled = false;
+  std::uint64_t spill_bytes = 0;
+  std::uint64_t peak_tracked_bytes = 0;
+  /// Malformed records dropped under BadRecordPolicy::kSkip.
+  std::uint64_t reads_skipped = 0;
+  /// Transient input-open failures absorbed by the bounded retry.
+  std::uint64_t io_retries = 0;
+  /// Largest number of reads resident in the read-ahead buffers.
+  std::size_t peak_buffered_reads = 0;
+  OverlapStageStats overlap;
+};
+
+/// Pass 1 of the streaming methods, shared by CorrectionPipeline::run
+/// and `ngs-index build`: streams the input once through the
+/// bounded-memory ChunkedSpectrumBuilder (overlapped read-ahead,
+/// retrying open, and the options' bad-record policy), counting
+/// k-mers of length `k` on one or both strands. Batch sorts and run
+/// merges use a pool of options.spectrum_threads when set, otherwise
+/// `pool`.
+///
+/// When options.save_index_path is set the spectrum is persisted
+/// there: in the sharded version-2 format when the build spilled into
+/// more than one prefix bin (the full spectrum then never exists in
+/// this process), otherwise as monolithic version-1 bytes. A multi-bin
+/// build without a save path still goes through a transient sharded
+/// file in the spill directory (see SpectrumBuild::index_transient).
+SpectrumBuild build_spectrum(const StreamFactory& open_input, int k,
+                             bool both_strands,
+                             const PipelineOptions& options,
+                             util::ThreadPool& pool);
+
 class CorrectionPipeline {
  public:
-  /// Reopenable input source: called once per pass (twice on the
-  /// streamed path), returning a fresh stream over the same bytes.
-  using StreamFactory = std::function<std::unique_ptr<std::istream>()>;
+  using StreamFactory = core::StreamFactory;
 
   explicit CorrectionPipeline(std::unique_ptr<Corrector> corrector,
                               PipelineOptions options = {});
@@ -208,16 +248,10 @@ class CorrectionPipeline {
   PipelineResult run(const StreamFactory& open_input, std::ostream& out);
 
  private:
-  void correct_batch_parallel(util::ThreadPool& pool,
-                              std::span<const seq::Read> in,
-                              std::vector<seq::Read>& out,
-                              CorrectionReport& report);
-
   /// Corrects one contiguous span with the batch-then-salvage ladder
   /// (kPass2Batch / kPass2Read degradation): appends exactly in.size()
-  /// reads to `out`, tallying into the caller-local report. Shared by
-  /// the pool blocks of correct_batch_parallel and the executor workers
-  /// of the overlapped pass 2.
+  /// reads to `out`, tallying into the caller-local report. Runs on the
+  /// pass-2 executor workers.
   void correct_span(std::span<const seq::Read> in,
                     std::vector<seq::Read>& out, CorrectionReport& local,
                     BatchScratch* scratch);
@@ -226,9 +260,8 @@ class CorrectionPipeline {
   /// corrector_->make_scratch()). Lock-free in steady state: slot i is
   /// an atomic pointer a worker exchanges out on acquire and back in on
   /// release, with `hint` (the worker's index) making re-acquisition of
-  /// the same warm scratch the common O(1) case. Replaces the old
-  /// mutex-guarded pool — the overlapped executor checks scratch in and
-  /// out per item, so the lock would sit on the hot path.
+  /// the same warm scratch the common O(1) case — the executor checks
+  /// scratch in and out per item, so a lock would sit on the hot path.
   std::unique_ptr<BatchScratch> acquire_scratch(std::size_t hint);
   void release_scratch(std::unique_ptr<BatchScratch> scratch,
                        std::size_t hint);

@@ -63,10 +63,10 @@ inline constexpr const char* kPass2Read = "core.pass2.read";
 /// Writing a corrected output batch fails; the tmp+rename writer must
 /// leave no truncated output behind.
 inline constexpr const char* kOutputWrite = "core.output.write";
-/// The overlapped executor's dedicated reader task fails while running
-/// ahead of compute (either pass, --io-overlap on). The failure must
-/// tear the bounded queues down to a typed error on the calling thread —
-/// never a hung pipeline.
+/// The dedicated reader task fails while running ahead of compute
+/// (pass 1's read-ahead or the pass-2 executor's producer). The failure
+/// must tear the bounded queues down to a typed error on the calling
+/// thread — never a hung pipeline.
 inline constexpr const char* kPipelineReader = "core.pipeline.reader";
 /// The overlapped executor's order-restoring writer task fails
 /// mid-stream; same teardown guarantee, and run_file's atomic output

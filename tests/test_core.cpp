@@ -241,33 +241,9 @@ TEST(CorrectionPipeline, ByteIdenticalToCorrectAllForEveryMethod) {
   }
 }
 
-// O(batch) read buffering on the serial streamed path, via the
-// pipeline's own accounting plus the util/memory.hpp RSS hook.
-TEST(CorrectionPipeline, StreamedPathBuffersOnlyOneBatch) {
-  const auto run = make_run(13);
-  const std::string input = to_fastq(run.reads);
-  ASSERT_GT(run.reads.size(), 256u);
-
-  core::CorrectorConfig config;
-  core::PipelineOptions options;
-  options.batch_size = 256;
-  options.io_overlap = false;
-  core::CorrectionPipeline pipeline(core::make_corrector("sap", config),
-                                    options);
-  std::ostringstream out;
-  const auto result = pipeline.run(factory_for(input), out);
-
-  EXPECT_TRUE(result.streamed);
-  EXPECT_FALSE(result.overlapped);
-  EXPECT_LE(result.peak_buffered_reads, options.batch_size);
-  EXPECT_GT(result.peak_rss_bytes, 0u);
-  EXPECT_EQ(result.batches,
-            (run.reads.size() + options.batch_size - 1) / options.batch_size);
-}
-
-// The overlapped streamed path holds more batches in flight, but stays
-// under the executor's documented cap: batch_size * (queue_depth +
-// 2*workers + 1) reads resident, at every depth.
+// O(batch) read buffering on the streamed path: at every depth the
+// reads resident stay under the executor's documented cap of
+// batch_size * (queue_depth + 2*workers + 1), independent of input size.
 TEST(CorrectionPipeline, OverlappedPathBuffersStayBounded) {
   const auto run = make_run(13);
   const std::string input = to_fastq(run.reads);
@@ -285,7 +261,7 @@ TEST(CorrectionPipeline, OverlappedPathBuffersStayBounded) {
     const auto result = pipeline.run(factory_for(input), out);
 
     EXPECT_TRUE(result.streamed) << depth;
-    EXPECT_TRUE(result.overlapped) << depth;
+    EXPECT_GT(result.peak_rss_bytes, 0u) << depth;
     const std::size_t cap =
         options.batch_size * (depth + 2 * options.threads + 1);
     EXPECT_LE(result.peak_buffered_reads, cap) << depth;
@@ -295,14 +271,14 @@ TEST(CorrectionPipeline, OverlappedPathBuffersStayBounded) {
         << depth;
     EXPECT_EQ(result.pass2_overlap.items, result.batches) << depth;
     EXPECT_LE(result.pass2_overlap.queue_peak, depth) << depth;
-    EXPECT_GT(result.report.extra("io_overlap"), 0u) << depth;
     EXPECT_EQ(result.report.extra("queue_depth"), depth) << depth;
   }
 }
 
-// The tentpole identity guarantee of the overlapped executor: output is
-// byte-identical to --io-overlap=off at every thread count x queue
-// depth, for both a spectrum-streamed and a buffered-input method.
+// The identity guarantee of the pass-2 executor: output is
+// byte-identical to the in-memory Corrector::correct_all path at every
+// thread count x queue depth, for both a spectrum-streamed and a
+// buffered-input method.
 TEST(CorrectionPipeline, OverlappedOutputByteIdenticalAcrossThreadsAndDepths) {
   const auto run = make_run(29);
   const std::string input = to_fastq(run.reads);
@@ -311,15 +287,13 @@ TEST(CorrectionPipeline, OverlappedOutputByteIdenticalAcrossThreadsAndDepths) {
     core::CorrectorConfig config;
     config.genome_length = 20000;
 
-    // Reference: the serial stop-and-go loops, single-threaded.
-    core::PipelineOptions ref_options;
-    ref_options.batch_size = 113;
-    ref_options.threads = 1;
-    ref_options.io_overlap = false;
-    core::CorrectionPipeline reference(core::make_corrector(method, config),
-                                       ref_options);
+    // Reference: the in-memory whole-set path.
+    auto reference = core::make_corrector(method, config);
+    reference->build(run.reads);
+    core::CorrectionReport ref_report;
+    const auto ref_reads = reference->correct_all(run.reads, ref_report);
     std::ostringstream ref_out;
-    reference.run(factory_for(input), ref_out);
+    io::write_fastq(ref_out, std::span<const seq::Read>(ref_reads));
     ASSERT_FALSE(ref_out.str().empty()) << method;
 
     for (const std::size_t threads : {1ul, 2ul, 4ul, 8ul}) {
@@ -332,7 +306,7 @@ TEST(CorrectionPipeline, OverlappedOutputByteIdenticalAcrossThreadsAndDepths) {
             core::make_corrector(method, config), options);
         std::ostringstream out;
         const auto result = pipeline.run(factory_for(input), out);
-        EXPECT_TRUE(result.overlapped)
+        EXPECT_EQ(result.pass2_overlap.workers, threads)
             << method << " t=" << threads << " d=" << depth;
         EXPECT_EQ(out.str(), ref_out.str())
             << method << " t=" << threads << " d=" << depth;

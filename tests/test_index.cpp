@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -30,8 +32,11 @@ namespace {
 using namespace ngs;
 using Kind = index::IndexError::Kind;
 
+// Pid-qualified: ctest runs the discovered tests and the label suites
+// that re-run them as separate processes, possibly concurrently.
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "ngs_index_test_" + name;
+  return testing::TempDir() + "ngs_index_test_" + std::to_string(::getpid()) + "_" +
+         name;
 }
 
 std::string slurp(const std::string& path) {

@@ -257,6 +257,39 @@ TEST_P(MaskedIndexEquivalence, MatchesEnumeratorOnRandomSpectra) {
     });
     ASSERT_EQ(got, expect) << "k=" << k << " c=" << c << " d=" << d;
   }
+
+  // Non-member queries, as pass 2 issues them for erroneous kmers: half
+  // perturb one base of a spectrum kmer (so the neighborhood is never
+  // empty), half are uniform. Both strategies must visit the same
+  // (code, spectrum index) pairs.
+  std::vector<std::uint32_t> hits;
+  std::vector<seq::KmerCode> enum_scratch;
+  std::size_t perturbed = 0, nonempty = 0;
+  for (int q = 0; q < 2000; ++q) {
+    const bool perturb = q % 2 == 0;
+    const seq::KmerCode query =
+        perturb ? spec.code_at(rng.below(spec.size())) ^
+                      (seq::KmerCode{3}
+                       << (2 * rng.below(static_cast<std::uint64_t>(k))))
+                : (rng() & mask);
+    if (spec.contains(query)) continue;
+    std::vector<std::pair<seq::KmerCode, std::size_t>> expect, got;
+    enumerator.for_each_neighbor(
+        query, d,
+        [&](seq::KmerCode x, std::size_t i) { expect.emplace_back(x, i); },
+        enum_scratch);
+    index.for_each_neighbor(
+        query, [&](seq::KmerCode x, std::size_t i) { got.emplace_back(x, i); },
+        hits);
+    std::sort(expect.begin(), expect.end());
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(got, expect) << "k=" << k << " c=" << c << " d=" << d
+                           << " query " << q;
+    if (perturb) ++perturbed;
+    if (perturb && !got.empty()) ++nonempty;
+  }
+  EXPECT_GT(perturbed, 0u);
+  EXPECT_EQ(nonempty, perturbed);
 }
 
 INSTANTIATE_TEST_SUITE_P(

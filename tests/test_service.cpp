@@ -559,7 +559,12 @@ TEST_F(ServerTest, GarbageBytesGetTypedErrorNotHang) {
 }
 
 TEST_F(ServerTest, WorkerFaultCostsOneBatchNotTheConnection) {
-  start();
+  // One worker pops the FIFO queue in seq order, so the n1 fault below
+  // lands on batch 0 deterministically (with several workers, whichever
+  // reached the site first would take it).
+  service::ServiceOptions options;
+  options.workers = 1;
+  start(options);
   auto client = make_client();
   const auto limits = client.hello(sap_hello());
   const auto reads = parse_reads(fastq_);

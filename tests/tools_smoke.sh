@@ -206,16 +206,10 @@ expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
 grep -q "fault injection:" "$WORK/stderr.txt"
 cmp "$WORK/salvaged.fastq" "$WORK/corrected_sap.fastq"
 
-# Overlapped streaming executor: the default run above is overlapped;
-# --io-overlap off and a different --queue-depth must both produce
-# byte-identical output, and the overlapped run reports its stage
-# telemetry. A bad --io-overlap value is a usage error, and a reader-
-# task fault tears the overlapped pipeline down with the I/O exit code.
-"$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
-  --out "$WORK/corrected_serial.fastq" --method sap --genome-length 20000 \
-  --threads 2 --batch-size 1000 --io-overlap off 2>"$WORK/stderr.txt"
-cmp "$WORK/corrected_serial.fastq" "$WORK/corrected_sap.fastq"
-! grep -q "overlap:" "$WORK/stderr.txt"
+# Overlapped streaming executor: a different --queue-depth must produce
+# byte-identical output, and the run reports its stage telemetry. The
+# deleted serial-loop toggle is now an unknown-option usage error, and a
+# reader-task fault tears the pipeline down with the I/O exit code.
 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/corrected_depth2.fastq" --method sap --genome-length 20000 \
   --threads 2 --batch-size 1000 --queue-depth 2 2>"$WORK/stderr.txt"
@@ -223,7 +217,8 @@ cmp "$WORK/corrected_depth2.fastq" "$WORK/corrected_sap.fastq"
 grep -q "overlap: queue depth 2" "$WORK/stderr.txt"
 grep -q "worker utilization" "$WORK/stderr.txt"
 expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
-  --out "$WORK/x.fastq" --method sap --io-overlap sometimes
+  --out "$WORK/x.fastq" --method sap --io-overlap off
+grep -q "unknown option: --io-overlap" "$WORK/stderr.txt"
 expect_exit 2 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/x.fastq" --method sap --queue-depth 0
 expect_exit 3 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
@@ -281,6 +276,12 @@ expect_exit 4 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --threads 2 --batch-size 1000 --save-index "$WORK/sap.ngsx"
 test -s "$WORK/sap.ngsx"
 "$BIN_DIR/ngs_index" verify --index "$WORK/sap.ngsx"
+# ngs_index build and ngs_correct --save-index share one pass 1 and one
+# writer choice: the same reads give the same (version-1) bytes.
+"$BIN_DIR/ngs_index" build --in "$WORK/reads.fastq" \
+  --out "$WORK/sap_built.ngsx" --k 12 --both-strands 1 --threads 2 \
+  --batch-size 1000
+cmp "$WORK/sap_built.ngsx" "$WORK/sap.ngsx"
 "$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
   --out "$WORK/corrected_loaded.fastq" --method sap --genome-length 20000 \
   --threads 2 --batch-size 1000 --load-index "$WORK/sap.ngsx"
@@ -306,6 +307,15 @@ grep -q "shard_table" "$WORK/sharded_info.txt"
   --out "$WORK/corrected_sharded.fastq" --method sap --genome-length 20000 \
   --threads 2 --batch-size 1000 --load-index "$WORK/sharded.ngsx"
 cmp "$WORK/corrected_sharded.fastq" "$WORK/corrected_sap.fastq"
+
+# Under the same spilling budget, ngs_correct --save-index writes the
+# same sharded (version-2) bytes as ngs_index build.
+"$BIN_DIR/ngs_correct" --in "$WORK/reads.fastq" \
+  --out "$WORK/corrected_sharded_save.fastq" --method sap \
+  --genome-length 20000 --threads 2 --memory-budget-mb 1 \
+  --spill-dir "$WORK" --save-index "$WORK/sharded_saved.ngsx"
+cmp "$WORK/sharded_saved.ngsx" "$WORK/sharded.ngsx"
+cmp "$WORK/corrected_sharded_save.fastq" "$WORK/corrected_sap.fastq"
 
 # A truncated sharded file is rejected with the index exit code.
 head -c 4096 "$WORK/sharded.ngsx" > "$WORK/sharded_trunc.ngsx"

@@ -46,11 +46,6 @@ int main(int argc, char** argv) {
                  "pass-1 spectrum build threads (0 = share correction pool)",
                  true, "0");
   cli.add_option("batch-size", "reads per streamed batch", true, "4096");
-  cli.add_option("io-overlap",
-                 "overlap file I/O with compute: on (dedicated reader + "
-                 "in-order writer around the correction workers) or off "
-                 "(serial stop-and-go loops; output is byte-identical)",
-                 true, "on");
   cli.add_option("queue-depth",
                  "bounded read-ahead of the overlapped pipeline, in "
                  "batches (>= 1)",
@@ -128,15 +123,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bool io_overlap = true;
-  const std::string io_overlap_arg = cli.get("io-overlap", "on");
-  if (io_overlap_arg == "off") {
-    io_overlap = false;
-  } else if (io_overlap_arg != "on") {
-    std::cerr << "ngs-correct: --io-overlap must be 'on' or 'off', got '"
-              << io_overlap_arg << "'\n";
-    return 2;
-  }
   const long queue_depth = cli.get_int("queue-depth", 4);
   if (queue_depth < 1) {
     std::cerr << "ngs-correct: --queue-depth must be >= 1, got "
@@ -166,7 +152,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("spectrum-threads", 0));
   options.batch_size =
       static_cast<std::size_t>(cli.get_int("batch-size", 4096));
-  options.io_overlap = io_overlap;
   options.queue_depth = static_cast<std::size_t>(queue_depth);
   options.load_index_path = cli.get("load-index");
   options.save_index_path = cli.get("save-index");
@@ -225,7 +210,7 @@ int main(int argc, char** argv) {
     }
     std::cerr << "\n";
   }
-  if (result.overlapped) {
+  if (result.pass2_overlap.workers > 0) {
     const auto& s2 = result.pass2_overlap;
     std::cerr << "overlap: queue depth "
               << result.report.extra("queue_depth") << ", pass 2 "
