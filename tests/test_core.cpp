@@ -241,6 +241,33 @@ TEST(CorrectionPipeline, ByteIdenticalToCorrectAllForEveryMethod) {
   }
 }
 
+// O(batch) read buffering on the streamed path at its tightest setting
+// (one worker, queue depth 1), via the pipeline's own accounting plus
+// the util/memory.hpp RSS hook: one batch per pipeline slot, i.e. at
+// most batch_size * (1 + 2*1 + 1) reads, well below the input size.
+TEST(CorrectionPipeline, StreamedPathBuffersOnlyOneBatch) {
+  const auto run = make_run(13);
+  const std::string input = to_fastq(run.reads);
+
+  core::CorrectorConfig config;
+  core::PipelineOptions options;
+  options.batch_size = 256;
+  options.threads = 1;
+  options.queue_depth = 1;
+  const std::size_t cap = options.batch_size * (options.queue_depth + 3);
+  ASSERT_GT(run.reads.size(), 2 * cap);
+  core::CorrectionPipeline pipeline(core::make_corrector("sap", config),
+                                    options);
+  std::ostringstream out;
+  const auto result = pipeline.run(factory_for(input), out);
+
+  EXPECT_TRUE(result.streamed);
+  EXPECT_LE(result.peak_buffered_reads, cap);
+  EXPECT_GT(result.peak_rss_bytes, 0u);
+  EXPECT_EQ(result.batches,
+            (run.reads.size() + options.batch_size - 1) / options.batch_size);
+}
+
 // O(batch) read buffering on the streamed path: at every depth the
 // reads resident stay under the executor's documented cap of
 // batch_size * (queue_depth + 2*workers + 1), independent of input size.
