@@ -1,12 +1,14 @@
-// End-to-end pass-2 correction throughput on the Table 2.1 D3 workload:
-// Reptile phase 2 (the CorrectionPipeline hot path since PR 2 made
-// phase 1 parallel) with the shared tile-decision cache on and off, at
-// 1/2/4/8 worker threads, verifying that every configuration produces
-// output byte-identical to the uncached single-thread reference. Every
-// speedup is against a baseline measured in the same process: pass-2
-// rows against the uncached 1-thread run, file-to-file rows against the
-// 1-thread file-to-file run. Emits BENCH_correct.json (path overridable
-// via NGS_BENCH_JSON) with the hardware block of the machine it ran on.
+// Reptile on the Table 2.1 D3 workload. Phase 1: the tile table,
+// k-spectrum and Hamming graph built on a 1-thread pool and on a pool of
+// every hardware thread, checked identical. Phase 2: pass-2 correction
+// throughput with the shared tile-decision cache on and off, at 1/2/4/8
+// worker threads, verifying that every configuration produces output
+// byte-identical to the uncached single-thread reference. Every speedup
+// is against a baseline measured in the same process: phase-1 rows
+// against the 1-thread pool, pass-2 rows against the uncached 1-thread
+// run, file-to-file rows against the 1-thread file-to-file run. Emits
+// BENCH_correct.json (path overridable via NGS_BENCH_JSON) with the
+// hardware block of the machine it ran on.
 // Rows running more workers than the machine has hardware threads are
 // flagged oversubscribed — their scaling numbers measure scheduling,
 // not the corrector.
@@ -16,6 +18,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <optional>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,6 +28,9 @@
 #include "core/pipeline.hpp"
 #include "core/registry.hpp"
 #include "io/fastx.hpp"
+#include "kspec/hamming_graph.hpp"
+#include "kspec/kspectrum.hpp"
+#include "kspec/tile_table.hpp"
 #include "reptile/corrector.hpp"
 #include "reptile/params.hpp"
 #include "util/thread_pool.hpp"
@@ -72,6 +78,65 @@ std::vector<seq::Read> run_pass2(const reptile::ReptileCorrector& corrector,
   return out;
 }
 
+/// Reptile's phase-1 structures built on one pool, each best-of-n timed.
+struct Phase1 {
+  double tiles_s = 0.0;
+  double spectrum_s = 0.0;
+  double graph_s = 0.0;
+  kspec::TileTable tiles;
+  kspec::KSpectrum spectrum;
+  std::optional<kspec::HammingGraph> graph;
+
+  double total_s() const { return tiles_s + spectrum_s + graph_s; }
+};
+
+Phase1 build_phase1(const seq::ReadSet& reads,
+                    const reptile::ReptileParams& params,
+                    util::ThreadPool& pool, int repeats) {
+  Phase1 p;
+  kspec::TileParams tp;
+  tp.k = params.k;
+  tp.overlap = params.overlap;
+  tp.quality_cutoff = params.quality_cutoff;
+  p.tiles_s = best_seconds(
+      repeats, [&] { p.tiles = kspec::TileTable::build(reads, tp, &pool); });
+  kspec::SpectrumBuildOptions options;
+  options.pool = &pool;
+  p.spectrum_s = best_seconds(repeats, [&] {
+    p.spectrum = kspec::KSpectrum::build(reads, params.k, true, options);
+  });
+  p.graph_s = best_seconds(repeats, [&] {
+    p.graph.reset();
+    p.graph.emplace(p.spectrum, params.d, 0, &pool);
+  });
+  return p;
+}
+
+bool identical(const Phase1& a, const Phase1& b) {
+  if (a.tiles.size() != b.tiles.size() ||
+      a.spectrum.size() != b.spectrum.size() ||
+      a.graph->num_edges() != b.graph->num_edges()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.tiles.size(); ++i) {
+    if (a.tiles.code_at(i) != b.tiles.code_at(i) ||
+        a.tiles.counts_at(i).oc != b.tiles.counts_at(i).oc ||
+        a.tiles.counts_at(i).og != b.tiles.counts_at(i).og) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.spectrum.size(); ++i) {
+    const auto na = a.graph->neighbors(i);
+    const auto nb = b.graph->neighbors(i);
+    if (a.spectrum.code_at(i) != b.spectrum.code_at(i) ||
+        a.spectrum.count_at(i) != b.spectrum.count_at(i) ||
+        !std::equal(na.begin(), na.end(), nb.begin(), nb.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 struct Row {
   std::size_t threads = 0;
   bool cached = false;
@@ -113,9 +178,11 @@ int main() {
   const double scale = bench::scale_or(1.0);
   constexpr int kRepeats = 2;
   bench::print_header(
-      "Pass-2 correction throughput (Table 2.1 D3-scale)",
-      "Reptile tile correction with the shared tile-decision cache on/off; "
-      "outputs checked byte-identical to the uncached 1-thread reference.");
+      "Reptile phase 1 and pass-2 correction throughput (Table 2.1 "
+      "D3-scale)",
+      "Phase-1 tables on 1 thread vs every core, checked identical; tile "
+      "correction with the shared tile-decision cache on/off, outputs "
+      "checked byte-identical to the uncached 1-thread reference.");
 
   const auto specs = sim::chapter2_specs(scale);
   const auto& d3_spec = specs.at(2);  // D3
@@ -133,6 +200,32 @@ int main() {
             << ", k=" << params.k << ", tile=" << params.tile_length()
             << "bp, phase-1 build " << util::Table::fixed(build_s, 2)
             << "s\nhardware: " << hardware << "\n\n";
+
+  // --- Phase 1 on a 1-thread pool (the baseline) and on every core.
+  util::ThreadPool phase1_one(1);
+  util::ThreadPool phase1_all(0);
+  const Phase1 p1_one = build_phase1(reads, params, phase1_one, kRepeats);
+  const Phase1 p1_all = build_phase1(reads, params, phase1_all, kRepeats);
+  const bool phase1_identical = identical(p1_one, p1_all);
+  util::Table phase1_table({"Structure", "1 thread (s)",
+                            std::to_string(phase1_all.size()) + " threads (s)",
+                            "Speedup"});
+  const auto phase1_row = [&](const std::string& name, double one,
+                              double all) {
+    phase1_table.add_row({name, util::Table::fixed(one, 3),
+                          util::Table::fixed(all, 3),
+                          util::Table::fixed(one / all, 2) + "x"});
+  };
+  phase1_row("tile table", p1_one.tiles_s, p1_all.tiles_s);
+  phase1_row("k-spectrum", p1_one.spectrum_s, p1_all.spectrum_s);
+  phase1_row("Hamming graph", p1_one.graph_s, p1_all.graph_s);
+  phase1_row("phase 1", p1_one.total_s(), p1_all.total_s());
+  std::cout << "Reptile phase 1 (" << p1_all.tiles.size() << " tiles, "
+            << p1_all.spectrum.size() << " kmers, "
+            << p1_all.graph->num_edges() << " edges):\n";
+  phase1_table.print(std::cout);
+  std::cout << "tables " << (phase1_identical ? "identical" : "DIVERGED")
+            << " across pool sizes\n\n";
 
   // Baseline: uncached, single worker, measured here.
   util::ThreadPool ref_pool(1);
@@ -194,7 +287,7 @@ int main() {
                "meaningful)\n";
 
   double cached_1t_s = 0.0;
-  bool all_identical = true;
+  bool all_identical = phase1_identical;
   for (const auto& r : rows) {
     if (r.threads == 1 && r.cached) cached_1t_s = r.seconds;
     all_identical = all_identical && r.identical;
@@ -280,6 +373,18 @@ int main() {
        << "  \"tile_length\": " << params.tile_length() << ",\n"
        << "  \"hardware\": " << hardware << ",\n"
        << "  \"phase1_build_s\": " << build_s << ",\n"
+       << "  \"phase1\": {\"threads\": " << phase1_all.size()
+       << ", \"tile_table_1t_s\": " << p1_one.tiles_s
+       << ", \"tile_table_s\": " << p1_all.tiles_s
+       << ", \"spectrum_1t_s\": " << p1_one.spectrum_s
+       << ", \"spectrum_s\": " << p1_all.spectrum_s
+       << ", \"graph_1t_s\": " << p1_one.graph_s
+       << ", \"graph_s\": " << p1_all.graph_s
+       << ", \"total_1t_s\": " << p1_one.total_s()
+       << ", \"total_s\": " << p1_all.total_s()
+       << ", \"speedup_vs_1t\": " << p1_one.total_s() / p1_all.total_s()
+       << ", \"identical\": " << (phase1_identical ? "true" : "false")
+       << "},\n"
        << "  \"uncached_1t_s\": " << uncached_1t_s << ",\n"
        << "  \"cached_speedup_1t\": " << uncached_1t_s / cached_1t_s << ",\n"
        << "  \"all_outputs_identical\": " << (all_identical ? "true" : "false")

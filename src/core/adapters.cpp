@@ -54,9 +54,13 @@ class ReptileAdapter final : public Corrector {
   std::string_view method() const noexcept override { return "reptile"; }
 
   void build(const seq::ReadSet& reads) override {
-    auto params = reptile::select_parameters(reads, config_.genome_length);
+    // The corrector adopts the selection's tile table unless the k
+    // override changed its parameters.
+    kspec::TileTable tiles;
+    auto params =
+        reptile::select_parameters(reads, config_.genome_length, &tiles);
     if (config_.k > 0) params.k = config_.k;
-    corrector_.emplace(reads, params);
+    corrector_.emplace(reads, params, std::move(tiles));
     // One concurrent tile-decision memo shared by every correction
     // worker: at coverage c each erroneous tile is decided once and
     // reused ~c times. Decisions are pure functions of the tile code, so

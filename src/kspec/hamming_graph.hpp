@@ -4,7 +4,10 @@
 // Stored as CSR adjacency over spectrum indices. Edges are recovered with
 // the MaskedSortIndex replicas (one pass over the spectrum), which is the
 // paper's space/time trade-off; the graph is then shared read-only by
-// all correction threads.
+// all correction threads. The per-vertex queries run in contiguous
+// vertex blocks on a thread pool, and the blocks' CSR fragments are
+// concatenated in spectrum order, so the graph is identical for every
+// pool size.
 //
 // REDEEM builds the same graph for its misread neighborhoods N^dmax.
 
@@ -21,8 +24,10 @@ class HammingGraph {
  public:
   /// Builds adjacency for all spectrum kmers within distance [1, d].
   /// `chunks` is the c of the masked-sort index (0 = auto: d + 3,
-  /// clamped to k).
-  HammingGraph(const KSpectrum& spectrum, int d, int chunks = 0);
+  /// clamped to k). The index build and the neighbor queries run on
+  /// `pool`; nullptr = the shared default pool.
+  HammingGraph(const KSpectrum& spectrum, int d, int chunks = 0,
+               util::ThreadPool* pool = nullptr);
 
   int d() const noexcept { return d_; }
   std::size_t num_vertices() const noexcept { return offsets_.size() - 1; }

@@ -3,84 +3,126 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
+#include "kspec/radix.hpp"
 #include "seq/alphabet.hpp"
 #include "util/batch_search.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
 namespace {
 
-/// Appends packed tile codes of one oriented sequence. `quality` may be
-/// empty (then every instance is high quality when Qc == 0 is in force).
-void extract_tiles(std::string_view bases,
-                   const std::vector<std::uint8_t>& quality,
-                   const TileParams& params,
-                   std::vector<seq::KmerCode>& all,
-                   std::vector<seq::KmerCode>& high_quality) {
+/// Calls emit(code, high_quality) for every tile instance of `read`: each
+/// N-free window on the forward strand and, with params.both_strands, its
+/// reverse complement, rolled along in the same pass. Both strands of a
+/// window cover the same bases, so they share one quality verdict, kept
+/// as a running count of the window's bases below Qc.
+template <typename Emit>
+void for_each_tile(const seq::Read& read, const TileParams& params,
+                   Emit&& emit) {
   const int tl = params.tile_length();
+  const std::string& bases = read.bases;
   if (bases.size() < static_cast<std::size_t>(tl)) return;
+  const std::vector<std::uint8_t>& quality = read.quality;
+  const bool filter =
+      params.quality_cutoff > 0 && quality.size() == bases.size();
   const seq::KmerCode mask =
       tl == 32 ? ~seq::KmerCode{0} : ((seq::KmerCode{1} << (2 * tl)) - 1);
-  seq::KmerCode code = 0;
+  const int rc_shift = 2 * (tl - 1);
+  seq::KmerCode fwd = 0;
+  seq::KmerCode rev = 0;
   int valid = 0;
+  int low = 0;  // bases below Qc among the last min(valid, tl)
   for (std::size_t i = 0; i < bases.size(); ++i) {
     const std::uint8_t b = seq::base_to_code(bases[i]);
     if (b == seq::kInvalidBase) {
       valid = 0;
-      code = 0;
+      low = 0;
       continue;
     }
-    code = ((code << 2) | b) & mask;
-    if (++valid >= tl) {
-      all.push_back(code);
-      bool hq = true;
-      if (params.quality_cutoff > 0 && !quality.empty()) {
-        const std::size_t start = i + 1 - static_cast<std::size_t>(tl);
-        for (std::size_t j = start; j <= i; ++j) {
-          if (quality[j] < params.quality_cutoff) {
-            hq = false;
-            break;
-          }
-        }
+    fwd = ((fwd << 2) | b) & mask;
+    rev = (rev >> 2) | (seq::KmerCode{seq::complement_code(b)} << rc_shift);
+    if (filter) {
+      low += quality[i] < params.quality_cutoff;
+      if (valid >= tl) {
+        low -= quality[i - static_cast<std::size_t>(tl)] <
+               params.quality_cutoff;
       }
-      if (hq) high_quality.push_back(code);
+    }
+    if (++valid >= tl) {
+      emit(fwd, low == 0);
+      if (params.both_strands) emit(rev, low == 0);
     }
   }
 }
 
+/// Tile instances of `reads`, high-quality ones only or all of them,
+/// gathered into one vector by fixed read blocks on `pool`: a counting
+/// pass sizes every block's slice, a second pass fills it in place.
+std::vector<seq::KmerCode> tile_instances(const seq::ReadSet& reads,
+                                          const TileParams& params,
+                                          bool high_quality_only,
+                                          util::ThreadPool& pool) {
+  const std::size_t n = reads.reads.size();
+  const std::size_t num_blocks =
+      std::min(n, std::max<std::size_t>(1, pool.size() * 4));
+  if (num_blocks == 0) return {};
+  const std::size_t block = (n + num_blocks - 1) / num_blocks;
+  const auto for_each_block_tile = [&](std::size_t b, auto&& emit) {
+    const std::size_t hi = std::min(n, (b + 1) * block);
+    for (std::size_t r = b * block; r < hi; ++r) {
+      for_each_tile(reads.reads[r], params,
+                    [&](seq::KmerCode code, bool hq) {
+                      if (hq || !high_quality_only) emit(code);
+                    });
+    }
+  };
+  std::vector<std::size_t> starts(num_blocks + 1, 0);
+  pool.parallel_for(0, num_blocks, [&](std::size_t b) {
+    std::size_t count = 0;
+    for_each_block_tile(b, [&](seq::KmerCode) { ++count; });
+    starts[b + 1] = count;
+  });
+  for (std::size_t b = 0; b < num_blocks; ++b) starts[b + 1] += starts[b];
+  std::vector<seq::KmerCode> out(starts[num_blocks]);
+  pool.parallel_for(0, num_blocks, [&](std::size_t b) {
+    seq::KmerCode* w = out.data() + starts[b];
+    for_each_block_tile(b, [&](seq::KmerCode code) { *w++ = code; });
+  });
+  return out;
+}
+
 }  // namespace
 
-TileTable TileTable::build(const seq::ReadSet& reads,
-                           const TileParams& params) {
+TileTable TileTable::build(const seq::ReadSet& reads, const TileParams& params,
+                           util::ThreadPool* pool) {
   if (params.tile_length() > seq::kMaxK || params.overlap >= params.k ||
       params.overlap < 0) {
     throw std::invalid_argument("TileTable: invalid k/overlap combination");
   }
-  std::vector<seq::KmerCode> all, hq;
-  for (const auto& r : reads.reads) {
-    extract_tiles(r.bases, r.quality, params, all, hq);
-    if (params.both_strands) {
-      const std::string rc = seq::reverse_complement(r.bases);
-      std::vector<std::uint8_t> rq(r.quality.rbegin(), r.quality.rend());
-      extract_tiles(rc, rq, params, all, hq);
-    }
-  }
-  std::sort(all.begin(), all.end());
-  std::sort(hq.begin(), hq.end());
+  util::ThreadPool& p = pool != nullptr ? *pool : util::default_pool();
+  RadixSortOptions radix;
+  radix.pool = &p;
+  const int tl = params.tile_length();
 
+  // Og first, then Oc: each instance multiset is extracted only when its
+  // turn comes and is consumed by its count, so at most one is resident.
+  std::vector<seq::KmerCode> hq_codes;
+  std::vector<std::uint32_t> hq_counts;
+  radix_sort_and_count(tile_instances(reads, params, true, p), tl, hq_codes,
+                       hq_counts, radix);
   TileTable table;
   table.params_ = params;
+  radix_sort_and_count(tile_instances(reads, params, false, p), tl,
+                       table.codes_, table.oc_, radix);
+
+  // Every high-quality tile is also a tile: merge-join Og onto Oc's codes.
+  table.og_.assign(table.codes_.size(), 0);
   std::size_t h = 0;
-  for (std::size_t i = 0; i < all.size();) {
-    std::size_t j = i;
-    while (j < all.size() && all[j] == all[i]) ++j;
-    std::size_t h_end = h;
-    while (h_end < hq.size() && hq[h_end] == all[i]) ++h_end;
-    table.codes_.push_back(all[i]);
-    table.oc_.push_back(static_cast<std::uint32_t>(j - i));
-    table.og_.push_back(static_cast<std::uint32_t>(h_end - h));
-    h = h_end;
-    i = j;
+  for (std::size_t i = 0; i < table.codes_.size() && h < hq_codes.size();
+       ++i) {
+    if (table.codes_[i] == hq_codes[h]) table.og_[i] = hq_counts[h++];
   }
   table.rebuild_prefix_index();
   return table;

@@ -15,6 +15,10 @@
 #include "seq/read.hpp"
 #include "util/stats.hpp"
 
+namespace ngs::util {
+class ThreadPool;
+}
+
 namespace ngs::kspec {
 
 struct TileParams {
@@ -24,13 +28,23 @@ struct TileParams {
   bool both_strands = true;
 
   int tile_length() const noexcept { return 2 * k - overlap; }
+
+  bool operator==(const TileParams&) const = default;
 };
 
 class TileTable {
  public:
   TileTable() = default;
 
-  static TileTable build(const seq::ReadSet& reads, const TileParams& params);
+  /// Counts every tile instance of `reads` (and of their reverse
+  /// complements when params.both_strands). Instances are extracted in
+  /// read blocks on `pool` and counted with radix_sort_and_count, so the
+  /// table is identical for every pool size. A read whose quality string
+  /// is not exactly as long as its bases counts as having no qualities
+  /// (all of its instances are high quality). nullptr pool = the shared
+  /// default pool.
+  static TileTable build(const seq::ReadSet& reads, const TileParams& params,
+                         util::ThreadPool* pool = nullptr);
 
   struct Counts {
     std::uint32_t oc = 0;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "seq/alphabet.hpp"
 #include "seq/kmer.hpp"
@@ -11,40 +13,64 @@
 namespace ngs::reptile {
 namespace {
 
-/// Working copy of the reads with eligible N's converted, used to build
-/// the tables so that spectrum lookups during correction never miss.
-seq::ReadSet preconvert(const seq::ReadSet& reads, const ReptileParams& p) {
-  seq::ReadSet converted;
-  converted.reads = reads.reads;
+/// Converts the N's of `bases` whose every window of the effective
+/// ambiguity width holds at most the effective maximum of N's to
+/// p.default_base, zeroing their quality scores; returns how many were
+/// converted. `prefix` is scratch for the ambiguity prefix sums.
+std::uint64_t convert_ambiguous(std::string& bases,
+                                std::vector<std::uint8_t>& quality,
+                                std::vector<int>& prefix,
+                                const ReptileParams& p) {
   const int w = p.effective_ambig_window();
   const int amax = p.effective_ambig_max();
-  for (auto& r : converted.reads) {
-    const auto L = static_cast<int>(r.bases.size());
-    const int win = std::min(w, L);
-    if (win <= 0) continue;
-    // Prefix sums of the ambiguity indicator.
-    std::vector<int> prefix(static_cast<std::size_t>(L) + 1, 0);
-    for (int i = 0; i < L; ++i) {
-      prefix[static_cast<std::size_t>(i) + 1] =
-          prefix[static_cast<std::size_t>(i)] +
-          (seq::is_ambiguous(r.bases[static_cast<std::size_t>(i)]) ? 1 : 0);
+  const auto L = static_cast<int>(bases.size());
+  const int win = std::min(w, L);
+  if (win <= 0) return 0;
+  prefix.assign(static_cast<std::size_t>(L) + 1, 0);
+  for (int i = 0; i < L; ++i) {
+    prefix[static_cast<std::size_t>(i) + 1] =
+        prefix[static_cast<std::size_t>(i)] +
+        (seq::is_ambiguous(bases[static_cast<std::size_t>(i)]) ? 1 : 0);
+  }
+  std::uint64_t converted = 0;
+  for (int i = 0; i < L; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    if (!seq::is_ambiguous(bases[ui])) continue;
+    const int s_lo = std::max(0, i - win + 1);
+    const int s_hi = std::min(i, L - win);
+    int max_in_window = 0;
+    for (int s = s_lo; s <= s_hi; ++s) {
+      max_in_window =
+          std::max(max_in_window, prefix[static_cast<std::size_t>(s + win)] -
+                                      prefix[static_cast<std::size_t>(s)]);
     }
-    for (int i = 0; i < L; ++i) {
-      const auto ui = static_cast<std::size_t>(i);
-      if (!seq::is_ambiguous(r.bases[ui])) continue;
-      const int s_lo = std::max(0, i - win + 1);
-      const int s_hi = std::min(i, L - win);
-      int max_in_window = 0;
-      for (int s = s_lo; s <= s_hi; ++s) {
-        max_in_window =
-            std::max(max_in_window, prefix[static_cast<std::size_t>(s + win)] -
-                                        prefix[static_cast<std::size_t>(s)]);
-      }
-      if (max_in_window <= amax) {
-        r.bases[ui] = p.default_base;
-        if (ui < r.quality.size()) r.quality[ui] = 0;
-      }
+    if (max_in_window <= amax) {
+      bases[ui] = p.default_base;
+      if (ui < quality.size()) quality[ui] = 0;
+      ++converted;
     }
+  }
+  return converted;
+}
+
+/// Working copy of the reads with eligible N's converted, used to build
+/// the tables so that spectrum lookups during correction never miss.
+/// nullopt when no base is converted: the tables are then built from
+/// the reads themselves, without a copy.
+std::optional<seq::ReadSet> preconvert(const seq::ReadSet& reads,
+                                       const ReptileParams& p) {
+  std::optional<seq::ReadSet> converted;
+  seq::Read read;
+  std::vector<int> prefix;
+  for (std::size_t i = 0; i < reads.reads.size(); ++i) {
+    if (seq::count_ambiguous(reads.reads[i].bases) == 0) continue;
+    read = reads.reads[i];
+    if (convert_ambiguous(read.bases, read.quality, prefix, p) == 0) continue;
+    if (!converted) {
+      converted.emplace();
+      converted->reads = reads.reads;
+    }
+    converted->reads[i] = std::move(read);
   }
   return converted;
 }
@@ -68,53 +94,30 @@ constexpr std::uint64_t kCodeMask = (std::uint64_t{1} << kTagShift) - 1;
 
 ReptileCorrector::ReptileCorrector(const seq::ReadSet& reads,
                                    ReptileParams params)
-    : ReptileCorrector(preconvert(reads, params), params, PreconvertedTag{}) {}
+    : ReptileCorrector(reads, preconvert(reads, params), params,
+                       std::nullopt) {}
 
-ReptileCorrector::ReptileCorrector(const seq::ReadSet& converted,
-                                   ReptileParams params, PreconvertedTag)
+ReptileCorrector::ReptileCorrector(const seq::ReadSet& reads,
+                                   ReptileParams params,
+                                   kspec::TileTable selection_tiles)
+    : ReptileCorrector(reads, preconvert(reads, params), params,
+                       std::move(selection_tiles)) {}
+
+ReptileCorrector::ReptileCorrector(
+    const seq::ReadSet& reads, const std::optional<seq::ReadSet>& converted,
+    ReptileParams params, std::optional<kspec::TileTable> selection_tiles)
     : params_(params),
-      spectrum_(kspec::KSpectrum::build(converted, params.k,
-                                        /*both_strands=*/true)),
+      spectrum_(kspec::KSpectrum::build(converted ? *converted : reads,
+                                        params.k, /*both_strands=*/true)),
       graph_(spectrum_, params.d),
-      tiles_(kspec::TileTable::build(converted, tile_params_of(params))) {
+      tiles_(!converted && selection_tiles &&
+                     selection_tiles->params() == tile_params_of(params)
+                 ? std::move(*selection_tiles)
+                 : kspec::TileTable::build(converted ? *converted : reads,
+                                           tile_params_of(params))) {
   if (params_.tile_length() > seq::kMaxK) {
     throw std::invalid_argument("ReptileCorrector: tile longer than 32 bases");
   }
-}
-
-std::uint64_t ReptileCorrector::convert_ambiguous(
-    std::string& bases, std::vector<std::uint8_t>& quality,
-    std::vector<int>& prefix) const {
-  const int w = params_.effective_ambig_window();
-  const int amax = params_.effective_ambig_max();
-  const auto L = static_cast<int>(bases.size());
-  const int win = std::min(w, L);
-  if (win <= 0) return 0;
-  prefix.assign(static_cast<std::size_t>(L) + 1, 0);
-  for (int i = 0; i < L; ++i) {
-    prefix[static_cast<std::size_t>(i) + 1] =
-        prefix[static_cast<std::size_t>(i)] +
-        (seq::is_ambiguous(bases[static_cast<std::size_t>(i)]) ? 1 : 0);
-  }
-  std::uint64_t converted = 0;
-  for (int i = 0; i < L; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    if (!seq::is_ambiguous(bases[ui])) continue;
-    const int s_lo = std::max(0, i - win + 1);
-    const int s_hi = std::min(i, L - win);
-    int max_in_window = 0;
-    for (int s = s_lo; s <= s_hi; ++s) {
-      max_in_window =
-          std::max(max_in_window, prefix[static_cast<std::size_t>(s + win)] -
-                                      prefix[static_cast<std::size_t>(s)]);
-    }
-    if (max_in_window <= amax) {
-      bases[ui] = params_.default_base;
-      if (ui < quality.size()) quality[ui] = 0;
-      ++converted;
-    }
-  }
-  return converted;
 }
 
 void ReptileCorrector::kmer_options(seq::KmerCode code, int d_limit,
@@ -429,7 +432,7 @@ seq::Read ReptileCorrector::correct(const seq::Read& read,
   auto& quality = scratch.quality;
   quality = read.quality;
   stats.ambiguous_converted +=
-      convert_ambiguous(out.bases, quality, scratch.prefix);
+      convert_ambiguous(out.bases, quality, scratch.prefix, params_);
 
   // The read is packed once here and stays 2-bit until the final decode;
   // both sweeps and the strand flip between them operate on packed words.

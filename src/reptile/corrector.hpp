@@ -18,6 +18,7 @@
 // uncached correction are byte-identical for any thread count.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -101,6 +102,14 @@ class ReptileCorrector {
   /// from which the spectrum, Hamming graph, and tile table are built.
   ReptileCorrector(const seq::ReadSet& reads, ReptileParams params);
 
+  /// As above, but adopts `selection_tiles` — the table
+  /// select_parameters built from the same reads — as the tile table
+  /// when no base was converted and its TileParams are this
+  /// parameterization's; otherwise the table is built afresh. Either
+  /// way the corrector is identical to the two-argument form's.
+  ReptileCorrector(const seq::ReadSet& reads, ReptileParams params,
+                   kspec::TileTable selection_tiles);
+
   const ReptileParams& params() const noexcept { return params_; }
   const kspec::KSpectrum& spectrum() const noexcept { return spectrum_; }
   const kspec::TileTable& tiles() const noexcept { return tiles_; }
@@ -131,13 +140,14 @@ class ReptileCorrector {
   }
 
  private:
-  /// Tags the delegated constructor whose read set has already been
-  /// through ambiguous-base preconversion, so the conversion (a full
-  /// read-set copy) runs exactly once per construction and is shared by
-  /// the spectrum and the tile table.
-  struct PreconvertedTag {};
-  ReptileCorrector(const seq::ReadSet& converted, ReptileParams params,
-                   PreconvertedTag);
+  /// The constructors' common body. `converted` is the preconverted
+  /// copy of `reads` (nullopt when no base was converted), so the
+  /// conversion runs once per construction and is shared by the spectrum
+  /// and the tile table.
+  ReptileCorrector(const seq::ReadSet& reads,
+                   const std::optional<seq::ReadSet>& converted,
+                   ReptileParams params,
+                   std::optional<kspec::TileTable> selection_tiles);
 
   struct TileOutcome {
     TileDecision decision = TileDecision::kInsufficient;
@@ -171,12 +181,6 @@ class ReptileCorrector {
   void sweep(seq::PackedSeq& bases, const std::vector<std::uint8_t>& quality,
              CorrectionStats& stats, Scratch& scratch,
              TileDecisionCache* cache) const;
-
-  /// Converts eligible N's in place; returns number converted. `prefix`
-  /// is per-worker scratch for the ambiguity prefix sums.
-  std::uint64_t convert_ambiguous(std::string& bases,
-                                  std::vector<std::uint8_t>& quality,
-                                  std::vector<int>& prefix) const;
 
   ReptileParams params_;
   kspec::KSpectrum spectrum_;

@@ -1,15 +1,17 @@
 #include "reptile/params.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
-#include "kspec/tile_table.hpp"
 #include "util/stats.hpp"
 
 namespace ngs::reptile {
 
 ReptileParams select_parameters(const seq::ReadSet& reads,
-                                std::uint64_t genome_length_estimate) {
+                                std::uint64_t genome_length_estimate,
+                                kspec::TileTable* tiles) {
   ReptileParams p;
   if (genome_length_estimate > 0) {
     p.k = static_cast<int>(
@@ -18,16 +20,19 @@ ReptileParams select_parameters(const seq::ReadSet& reads,
     p.k = std::clamp(p.k, 10, 15);
   }
 
-  // Qc: ~17% of base calls fall below the cutoff.
-  util::Histogram quality_hist;
-  bool has_quality = false;
+  // Qc: ~17% of base calls fall below the cutoff. Tallied per score
+  // first; the histogram then takes one add per occurring score.
+  std::array<std::uint64_t, 256> quality_counts{};
   for (const auto& r : reads.reads) {
-    for (const std::uint8_t q : r.quality) {
-      quality_hist.add(q);
-      has_quality = true;
+    for (const std::uint8_t q : r.quality) ++quality_counts[q];
+  }
+  util::Histogram quality_hist;
+  for (std::size_t q = 0; q < quality_counts.size(); ++q) {
+    if (quality_counts[q] > 0) {
+      quality_hist.add(static_cast<std::int64_t>(q), quality_counts[q]);
     }
   }
-  if (has_quality) {
+  if (!quality_hist.empty()) {
     p.quality_cutoff = static_cast<int>(quality_hist.quantile(0.17));
     p.quality_max = static_cast<int>(quality_hist.quantile(0.60));
   }
@@ -37,7 +42,7 @@ ReptileParams select_parameters(const seq::ReadSet& reads,
   tile_params.k = p.k;
   tile_params.overlap = p.overlap;
   tile_params.quality_cutoff = p.quality_cutoff;
-  const auto table = kspec::TileTable::build(reads, tile_params);
+  auto table = kspec::TileTable::build(reads, tile_params);
   const auto hist = table.og_histogram();
   if (!hist.empty()) {
     p.c_good = static_cast<std::uint32_t>(
@@ -52,6 +57,7 @@ ReptileParams select_parameters(const seq::ReadSet& reads,
         hist.quantile(0.95), 2,
         std::max<std::int64_t>(2, p.c_good / 4)));
   }
+  if (tiles != nullptr) *tiles = std::move(table);
   return p;
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 
+#include "kspec/tile_table.hpp"
 #include "seq/read.hpp"
 
 namespace ngs::reptile {
@@ -51,9 +52,12 @@ struct ReptileParams {
 ///  - Cg so ~2% of distinct tiles exceed it;
 ///  - Cm so ~5% of distinct tiles exceed it;
 ///  - Cr = 2, d = 1 (paper defaults).
-/// Building the tile histogram requires a provisional pass; the function
-/// performs it internally.
+/// Building the tile histogram requires the tile table of the selected
+/// k and Qc; when `tiles` is non-null the table is moved out to it, so a
+/// ReptileCorrector built with the same parameters can adopt it instead
+/// of counting the tiles again.
 ReptileParams select_parameters(const seq::ReadSet& reads,
-                                std::uint64_t genome_length_estimate);
+                                std::uint64_t genome_length_estimate,
+                                kspec::TileTable* tiles = nullptr);
 
 }  // namespace ngs::reptile

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <memory>
 #include <set>
 #include <sstream>
@@ -416,6 +418,27 @@ TEST(CorrectionPipeline, TileCacheOutputByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(report.reads_changed, uncached_report.reads_changed) << threads;
     EXPECT_EQ(report.bases_changed, uncached_report.bases_changed) << threads;
   }
+}
+
+// Phase 1 of a buffered method is timed: its report carries build_ms
+// (possibly 0 on tiny inputs); a streamed run's report does not.
+TEST(CorrectionPipeline, BufferedRunReportsBuildTime) {
+  const auto run = make_run(29);
+  const std::string input = to_fastq(run.reads);
+  const auto has_build_ms = [&](const std::string& method) {
+    core::CorrectorConfig config;
+    config.genome_length = 20000;
+    core::CorrectionPipeline pipeline(core::make_corrector(method, config));
+    std::ostringstream out;
+    const auto result = pipeline.run(factory_for(input), out);
+    EXPECT_FALSE(out.str().empty()) << method;
+    const auto& extras = result.report.extras;
+    return std::any_of(extras.begin(), extras.end(),
+                       [](const auto& e) { return e.first == "build_ms"; });
+  };
+  EXPECT_TRUE(has_build_ms("reptile"));
+  EXPECT_TRUE(has_build_ms("freclu"));
+  EXPECT_FALSE(has_build_ms("sap"));
 }
 
 TEST(CorrectionPipeline, NullCorrectorThrows) {

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "kspec/hamming_graph.hpp"
 #include "kspec/kspectrum.hpp"
 #include "kspec/neighborhood.hpp"
 #include "kspec/radix.hpp"
 #include "kspec/tile_table.hpp"
+#include "seq/alphabet.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -394,6 +397,201 @@ TEST(TileTable, BothStrandsCountRevcompTiles) {
   // "AACCGGTT" is its own reverse complement, so its single 8-base tile
   // counts twice.
   EXPECT_EQ(table.counts(seq::encode_kmer("AACCGGTT").value()).oc, 2u);
+}
+
+// --- Parallel phase-1 identity: TileTable and HammingGraph must equal a
+// plain sort + run-length reference and a brute-force neighbor search at
+// every pool size.
+
+/// Reads sampled from a random genome with substitutions, N breaks,
+/// random qualities (some reads without any), and a few reads shorter
+/// than any tile.
+seq::ReadSet phase1_reads(std::uint64_t seed, std::size_t count) {
+  util::Rng rng(seed);
+  const auto genome =
+      sim::random_sequence(3000, {0.25, 0.25, 0.25, 0.25}, rng);
+  seq::ReadSet set;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t len = i % 50 == 0 ? 7 : 40 + rng.below(25);
+    std::string bases =
+        genome.substr(rng.below(genome.size() - len), len);
+    for (char& b : bases) {
+      const std::uint64_t roll = rng.below(1000);
+      if (roll < 8) {
+        b = "ACGT"[rng.below(4)];
+      } else if (roll < 12) {
+        b = 'N';
+      }
+    }
+    std::vector<std::uint8_t> quality;
+    if (i % 7 != 0) {
+      for (std::size_t j = 0; j < len; ++j) {
+        quality.push_back(static_cast<std::uint8_t>(2 + rng.below(39)));
+      }
+    }
+    set.reads.push_back({std::to_string(i), bases, quality});
+  }
+  return set;
+}
+
+struct TileRef {
+  std::vector<seq::KmerCode> codes;
+  std::vector<std::uint32_t> oc;
+  std::vector<std::uint32_t> og;
+};
+
+/// Sort + run-length reference over string-level window extraction; the
+/// reverse strand comes from reverse_complement and reversed qualities.
+TileRef reference_tiles(const seq::ReadSet& reads,
+                        const kspec::TileParams& params) {
+  const auto tl = static_cast<std::size_t>(params.tile_length());
+  std::vector<seq::KmerCode> all, hq;
+  const auto scan = [&](const std::string& bases,
+                        const std::vector<std::uint8_t>& quality) {
+    for (std::size_t s = 0; s + tl <= bases.size(); ++s) {
+      const auto code =
+          seq::encode_kmer(std::string_view(bases).substr(s, tl));
+      if (!code) continue;
+      all.push_back(*code);
+      bool good = true;
+      if (params.quality_cutoff > 0 && quality.size() == bases.size()) {
+        for (std::size_t j = s; j < s + tl; ++j) {
+          good = good && quality[j] >= params.quality_cutoff;
+        }
+      }
+      if (good) hq.push_back(*code);
+    }
+  };
+  for (const auto& r : reads.reads) {
+    scan(r.bases, r.quality);
+    if (params.both_strands) {
+      scan(seq::reverse_complement(r.bases),
+           std::vector<std::uint8_t>(r.quality.rbegin(), r.quality.rend()));
+    }
+  }
+  std::sort(all.begin(), all.end());
+  std::sort(hq.begin(), hq.end());
+  TileRef ref;
+  for (std::size_t i = 0; i < all.size();) {
+    std::size_t j = i;
+    while (j < all.size() && all[j] == all[i]) ++j;
+    const auto [lo, hi] = std::equal_range(hq.begin(), hq.end(), all[i]);
+    ref.codes.push_back(all[i]);
+    ref.oc.push_back(static_cast<std::uint32_t>(j - i));
+    ref.og.push_back(static_cast<std::uint32_t>(hi - lo));
+    i = j;
+  }
+  return ref;
+}
+
+void expect_table_equals(const kspec::TileTable& table, const TileRef& ref,
+                         const std::string& what) {
+  ASSERT_EQ(table.size(), ref.codes.size()) << what;
+  for (std::size_t i = 0; i < ref.codes.size(); ++i) {
+    ASSERT_EQ(table.code_at(i), ref.codes[i]) << what << " entry " << i;
+    ASSERT_EQ(table.counts_at(i).oc, ref.oc[i]) << what << " entry " << i;
+    ASSERT_EQ(table.counts_at(i).og, ref.og[i]) << what << " entry " << i;
+  }
+}
+
+TEST(TileTable, ParallelBuildMatchesSortReferenceAcrossPools) {
+  // 1200 reads hold enough instances (> 8192) for the radix partition to
+  // split them into buckets.
+  const auto reads = phase1_reads(17, 1200);
+  struct Case {
+    int k, overlap, qc;
+    bool both;
+  };
+  const Case cases[] = {{8, 0, 0, true},   {8, 0, 20, true},
+                        {8, 3, 20, true},  {10, 2, 25, false},
+                        {16, 0, 20, true}, {16, 0, 0, false}};
+  util::ThreadPool pools[] = {util::ThreadPool(1), util::ThreadPool(2),
+                              util::ThreadPool(4)};
+  for (const auto& c : cases) {
+    kspec::TileParams params;
+    params.k = c.k;
+    params.overlap = c.overlap;
+    params.quality_cutoff = c.qc;
+    params.both_strands = c.both;
+    const auto ref = reference_tiles(reads, params);
+    ASSERT_GT(ref.codes.size(), 1000u);
+    for (auto& pool : pools) {
+      const auto table = kspec::TileTable::build(reads, params, &pool);
+      EXPECT_EQ(table.params(), params);
+      expect_table_equals(table, ref,
+                          "k=" + std::to_string(c.k) + " l=" +
+                              std::to_string(c.overlap) + " qc=" +
+                              std::to_string(c.qc) + " both=" +
+                              std::to_string(c.both) + " pool=" +
+                              std::to_string(pool.size()));
+    }
+  }
+  // Empty read set: an empty table at every pool size.
+  for (auto& pool : pools) {
+    EXPECT_EQ(kspec::TileTable::build(seq::ReadSet{}, kspec::TileParams{},
+                                      &pool)
+                  .size(),
+              0u);
+  }
+}
+
+TEST(TileTable, QualityOfWrongLengthCountsAsAbsent) {
+  // A quality string shorter (or longer) than the bases is ignored: every
+  // instance is high quality, exactly as with no qualities at all.
+  seq::ReadSet set;
+  set.reads.push_back({"short", "ACGTACGTACGTTT", {40, 40, 2}});
+  set.reads.push_back(
+      {"long", "TTGCATGCAAGG", std::vector<std::uint8_t>(40, 2)});
+  kspec::TileParams params;
+  params.k = 4;
+  params.quality_cutoff = 20;
+  const auto table = kspec::TileTable::build(set, params);
+  ASSERT_GT(table.size(), 0u);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    EXPECT_EQ(table.counts_at(i).og, table.counts_at(i).oc);
+  }
+  expect_table_equals(table, reference_tiles(set, params), "mismatched");
+}
+
+TEST(HammingGraph, ParallelAdjacencyMatchesBruteForceAcrossPools) {
+  const auto reads = phase1_reads(23, 400);
+  const auto spec = KSpectrum::build(reads, 11, /*both_strands=*/true);
+  const kspec::CandidateEnumerator enumerator(spec);
+  util::ThreadPool pools[] = {util::ThreadPool(1), util::ThreadPool(2),
+                              util::ThreadPool(4)};
+  for (const int d : {1, 2}) {
+    std::vector<std::vector<std::uint32_t>> expect(spec.size());
+    std::vector<seq::KmerCode> scratch;
+    std::uint64_t edges = 0;
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      enumerator.for_each_neighbor(
+          spec.code_at(i), d,
+          [&](seq::KmerCode, std::size_t j) {
+            expect[i].push_back(static_cast<std::uint32_t>(j));
+          },
+          scratch);
+      std::sort(expect[i].begin(), expect[i].end());
+      edges += expect[i].size();
+    }
+    ASSERT_GT(edges, 0u);
+    for (auto& pool : pools) {
+      const kspec::HammingGraph graph(spec, d, 0, &pool);
+      ASSERT_EQ(graph.num_vertices(), spec.size());
+      EXPECT_EQ(graph.num_edges(), edges / 2);
+      for (std::size_t i = 0; i < spec.size(); ++i) {
+        const auto got = graph.neighbors(i);
+        ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+                  expect[i])
+            << "d=" << d << " pool=" << pool.size() << " vertex " << i;
+      }
+    }
+  }
+  // Empty spectrum: no vertices at every pool size.
+  for (auto& pool : pools) {
+    const kspec::HammingGraph graph(KSpectrum::from_codes({}, 11), 1, 0,
+                                    &pool);
+    EXPECT_EQ(graph.num_vertices(), 0u);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "eval/correction_metrics.hpp"
 #include "reptile/corrector.hpp"
 #include "reptile/params.hpp"
+#include "seq/alphabet.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -163,6 +164,48 @@ TEST(ReptileCorrector, CachedDecisionsMatchUncachedByteForByte) {
   const auto stats = cache.stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.misses, 0u);
+}
+
+TEST(ReptileCorrector, AdoptedSelectionTableMatchesRebuiltTable) {
+  // The selection's tile table is adopted when no N is converted and
+  // rebuilt from the converted reads otherwise; both paths, and a
+  // selection table whose parameters no longer match (a k override),
+  // must correct exactly like the corrector that builds its own table.
+  for (const double ambiguous_rate : {0.0, 0.01}) {
+    const auto setup = make_setup(12000, 40.0, 0.01, 43, ambiguous_rate);
+    const auto& reads = setup.sim.reads;
+    std::size_t ns = 0;
+    for (const auto& r : reads.reads) ns += seq::count_ambiguous(r.bases);
+    EXPECT_EQ(ns > 0, ambiguous_rate > 0.0);
+    for (const int k_override : {0, 11}) {
+      kspec::TileTable selection;
+      auto params = reptile::select_parameters(reads, 12000, &selection);
+      ASSERT_GT(selection.size(), 0u);
+      if (k_override > 0) params.k = k_override;
+      const reptile::ReptileCorrector rebuilt(reads, params);
+      const reptile::ReptileCorrector adopted(reads, params,
+                                              std::move(selection));
+      ASSERT_EQ(adopted.tiles().size(), rebuilt.tiles().size());
+      for (std::size_t i = 0; i < rebuilt.tiles().size(); ++i) {
+        ASSERT_EQ(adopted.tiles().code_at(i), rebuilt.tiles().code_at(i));
+        ASSERT_EQ(adopted.tiles().counts_at(i).oc,
+                  rebuilt.tiles().counts_at(i).oc);
+        ASSERT_EQ(adopted.tiles().counts_at(i).og,
+                  rebuilt.tiles().counts_at(i).og);
+      }
+      reptile::CorrectionStats sa, sr;
+      const auto a = adopted.correct_all(reads, sa);
+      const auto r = rebuilt.correct_all(reads, sr);
+      ASSERT_EQ(a.size(), r.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].bases, r[i].bases) << "read " << i;
+      }
+      EXPECT_EQ(sa.bases_changed, sr.bases_changed);
+      EXPECT_EQ(sa.ambiguous_converted, sr.ambiguous_converted);
+      EXPECT_EQ(sa.ambiguous_converted > 0, ambiguous_rate > 0.0);
+      EXPECT_GT(sa.bases_changed, 0u);
+    }
+  }
 }
 
 TEST(ReptileCorrector, RejectsOversizedTiles) {
