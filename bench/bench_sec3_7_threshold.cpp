@@ -48,11 +48,14 @@ int main() {
         model.estimates(), truth, {fit.threshold})[0];
 
     const double theta = fit.mu * fit.p / (1.0 - fit.p);
+    std::string alpha_beta = "(";
+    alpha_beta += util::Table::fixed(fit.alpha, 2);
+    alpha_beta += ",";
+    alpha_beta += util::Table::fixed(fit.beta, 2);
+    alpha_beta += ")";
     table.add_row(
         {spec.name, std::to_string(fit.num_normals),
-         util::Table::fixed(fit.pi_gamma, 2),
-         "(" + util::Table::fixed(fit.alpha, 2) + "," +
-             util::Table::fixed(fit.beta, 2) + ")",
+         util::Table::fixed(fit.pi_gamma, 2), alpha_beta,
          util::Table::fixed(theta, 1), util::Table::fixed(fit.threshold, 1),
          util::Table::fixed(oracle.threshold, 1),
          util::Table::num(at_model.wrong()),

@@ -10,6 +10,12 @@
 // increase the solid kmers to a prescribed amount, then it is applied",
 // greedily, with reads classified fixable/unfixable. It is the
 // k-spectrum ancestor Reptile is measured against.
+//
+// The scan keeps one code and one solidity bit per window of the read.
+// A candidate base change is scored from the window codes with that
+// base swapped in (only the <= k windows covering the position can
+// change), and an applied change refreshes only those windows, so each
+// spectrum lookup a round makes is one probe for one candidate window.
 
 #include <cstdint>
 #include <vector>
@@ -48,14 +54,36 @@ class SapCorrector {
   const SapParams& params() const noexcept { return params_; }
   const kspec::KSpectrum& spectrum() const noexcept { return spectrum_; }
 
-  /// Number of weak kmers in a read (0 = clean).
+  /// Per-read window arrays, reused across reads (one per worker; never
+  /// shared between concurrent callers).
+  struct Scratch {
+    /// Window code; an ambiguous base reads as A (its bits are set, not
+    /// or'ed, when a base is swapped in).
+    std::vector<seq::KmerCode> codes;
+    std::vector<std::uint8_t> ambiguous;  // ambiguous bases in the window
+    std::vector<std::uint8_t> weak;       // 1 = weak (or ambiguous)
+    std::vector<int> weak_prefix;         // prefix sums of `weak`
+  };
+
+  /// Number of weak kmers in a read (0 = clean). Windows with an
+  /// ambiguous base count as weak.
   int weak_kmers(std::string_view bases) const;
 
-  seq::Read correct(const seq::Read& read, SapStats& stats) const;
+  /// Greedy correction of one read: per round, the single substitution
+  /// that turns the most weak windows solid, scanning positions
+  /// ascending and bases A, C, G, T, a strictly greater gain winning.
+  seq::Read correct(const seq::Read& read, SapStats& stats,
+                    Scratch& scratch) const;
   std::vector<seq::Read> correct_all(const seq::ReadSet& reads,
                                      SapStats& stats) const;
 
  private:
+  bool is_weak(seq::KmerCode code) const {
+    return spectrum_.count(code) < params_.solid_threshold;
+  }
+  /// Fills the window arrays for `bases`; returns the weak-window count.
+  int scan_windows(std::string_view bases, Scratch& scratch) const;
+
   SapParams params_;
   kspec::KSpectrum spectrum_;
 };

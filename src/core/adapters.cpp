@@ -111,6 +111,12 @@ class ReptileAdapter final : public Corrector {
   std::unique_ptr<reptile::TileDecisionCache> cache_;
 };
 
+/// Per-worker scratch for the SAP adapter: the corrector's per-read
+/// window arrays.
+struct SapScratch final : BatchScratch {
+  baselines::SapCorrector::Scratch scratch;
+};
+
 class SapAdapter final : public Corrector {
  public:
   explicit SapAdapter(const CorrectorConfig& config) {
@@ -134,13 +140,20 @@ class SapAdapter final : public Corrector {
     mark_ready();
   }
 
+  std::unique_ptr<BatchScratch> make_scratch() const override {
+    return std::make_unique<SapScratch>();
+  }
+
   void correct_batch(std::span<const seq::Read> in,
                      std::vector<seq::Read>& out, CorrectionReport& report,
-                     BatchScratch* /*scratch*/) const override {
+                     BatchScratch* scratch) const override {
     require_ready();
+    SapScratch local_scratch;
+    auto* ss = dynamic_cast<SapScratch*>(scratch);
+    if (ss == nullptr) ss = &local_scratch;
     baselines::SapStats stats;
     for (const auto& read : in) {
-      auto corrected = corrector_->correct(read, stats);
+      auto corrected = corrector_->correct(read, stats, ss->scratch);
       tally_read(read, corrected, report);
       out.push_back(std::move(corrected));
     }

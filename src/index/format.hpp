@@ -16,14 +16,18 @@
 // the codes whose top `shard_bits` bits equal p, so the shards cover
 // disjoint ascending key ranges and their concatenation is the
 // monolithic spectrum. Each shard contributes its own codes/counts
-// (and optional bucket-starts) sections, tagged with the shard's
-// prefix in SectionEntry::shard_prefix and individually checksummed,
-// so a reader can map and verify one shard without touching the rest.
-// A kShardTable section (shard_count × ShardEntry, ascending prefix)
-// records each shard's entry counts. The header's distinct/total are
-// the sums over shards; prefix_bits is 0 (per-shard tables replace the
-// global one). Writers emit version 2 only when shard_count > 1 — a
-// single-bin build falls back to the byte-identical version-1 layout.
+// sections, tagged with the shard's prefix in SectionEntry::shard_prefix
+// and individually checksummed, so a reader can map and verify one
+// shard without touching the rest. A kShardTable section (shard_count ×
+// ShardEntry, ascending prefix) records each shard's entry counts. The
+// header's distinct/total are the sums over shards; prefix_bits is 0.
+// No bucket table is stored: a reader builds each shard's table over
+// the key bits below the shard prefix when it first touches the shard.
+// Files from earlier writers also carry a per-shard kBucketStarts
+// section indexed by the full key's top bits; readers checksum it but
+// never read it, so those files load with identical answers. Writers
+// emit version 2 only when shard_count > 1 — a single-bin build falls
+// back to the byte-identical version-1 layout.
 //
 // Every section carries an FNV-1a 64 checksum of its payload bytes;
 // the header carries a checksum of the header + section table (with
@@ -55,7 +59,8 @@ inline constexpr std::size_t kSectionAlignment = 64;
 /// so the metadata head read stays one bounded pread.
 inline constexpr std::uint32_t kMaxShards = 256;
 /// Section-count caps per version: v1 keeps the original 64; v2 allows
-/// three sections per shard plus the shard table.
+/// three sections per shard (codes, counts, and the bucket-starts
+/// section earlier writers stored) plus the shard table.
 inline constexpr std::uint32_t kMaxSectionsV1 = 64;
 inline constexpr std::uint32_t kMaxSectionsV2 = 3 * kMaxShards + 1;
 
@@ -64,6 +69,7 @@ enum class SectionId : std::uint32_t {
   kCodes = 1,         // sorted distinct kmer codes, u64[distinct]
   kCounts = 2,        // parallel multiplicities, u32[distinct]
   kBucketStarts = 3,  // prefix-bucket offsets, u64[2^prefix_bits + 1]
+                      // (v1; v2 files of earlier writers, unread)
   kShardTable = 4,    // v2 only: shard_count × ShardEntry, ascending
 };
 
@@ -108,7 +114,8 @@ static_assert(sizeof(SectionEntry) == 32);
 static_assert(std::is_trivially_copyable_v<SectionEntry>);
 
 /// One row of the v2 shard table (24 bytes): the shard's prefix key,
-/// the width of its embedded prefix-bucket table (0 = none), and its
+/// the width of a stored prefix-bucket table (written 0; earlier
+/// writers stored a full-key table whose width readers ignore), and its
 /// entry counts. Rows are ascending by prefix; Σ distinct and Σ
 /// total_instances must equal the header fields.
 struct ShardEntry {

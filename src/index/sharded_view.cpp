@@ -46,7 +46,6 @@ struct ShardedSpectrumView::Slot {
   std::size_t mmap_len = 0;
   std::vector<seq::KmerCode> owned_codes;
   std::vector<std::uint32_t> owned_counts;
-  std::vector<std::uint64_t> owned_buckets;
 
   ~Slot() {
 #if NGS_SHARDED_VIEW_POSIX
@@ -105,16 +104,11 @@ void ShardedSpectrumView::materialize(Slot& slot,
   const std::uint64_t codes_bytes = region.distinct * sizeof(seq::KmerCode);
   const std::uint64_t counts_bytes = region.distinct * sizeof(std::uint32_t);
   const std::uint64_t region_begin = region.codes_offset;
-  const std::uint64_t region_end =
-      std::max({region.codes_offset + codes_bytes,
-                region.counts_offset + counts_bytes,
-                region.buckets_bytes > 0
-                    ? region.buckets_offset + region.buckets_bytes
-                    : std::uint64_t{0}});
+  const std::uint64_t region_end = std::max(
+      region.codes_offset + codes_bytes, region.counts_offset + counts_bytes);
 
   const seq::KmerCode* codes_ptr = nullptr;
   const std::uint32_t* counts_ptr = nullptr;
-  const std::uint64_t* buckets_ptr = nullptr;
 
   // An injected fault (or a real mmap failure) must not fail the query:
   // the owned-buffer read below serves the identical bytes.
@@ -138,10 +132,6 @@ void ShardedSpectrumView::materialize(Slot& slot,
           bytes + (region.codes_offset - map_begin));
       counts_ptr = reinterpret_cast<const std::uint32_t*>(
           bytes + (region.counts_offset - map_begin));
-      if (region.buckets_bytes > 0) {
-        buckets_ptr = reinterpret_cast<const std::uint64_t*>(
-            bytes + (region.buckets_offset - map_begin));
-      }
     }
   }
   if (codes_ptr == nullptr) {
@@ -170,16 +160,8 @@ void ShardedSpectrumView::materialize(Slot& slot,
     slot.owned_counts.resize(static_cast<std::size_t>(region.distinct));
     read_at(slot.owned_codes.data(), codes_bytes, region.codes_offset);
     read_at(slot.owned_counts.data(), counts_bytes, region.counts_offset);
-    if (region.buckets_bytes > 0) {
-      slot.owned_buckets.resize(
-          static_cast<std::size_t>(region.buckets_bytes / sizeof(std::uint64_t)));
-      read_at(slot.owned_buckets.data(), region.buckets_bytes,
-              region.buckets_offset);
-    }
     codes_ptr = slot.owned_codes.data();
     counts_ptr = slot.owned_counts.data();
-    buckets_ptr =
-        slot.owned_buckets.empty() ? nullptr : slot.owned_buckets.data();
   }
 #else
   {
@@ -195,16 +177,8 @@ void ShardedSpectrumView::materialize(Slot& slot,
     slot.owned_counts.resize(static_cast<std::size_t>(region.distinct));
     read_at(slot.owned_codes.data(), codes_bytes, region.codes_offset);
     read_at(slot.owned_counts.data(), counts_bytes, region.counts_offset);
-    if (region.buckets_bytes > 0) {
-      slot.owned_buckets.resize(
-          static_cast<std::size_t>(region.buckets_bytes / sizeof(std::uint64_t)));
-      read_at(slot.owned_buckets.data(), region.buckets_bytes,
-              region.buckets_offset);
-    }
     codes_ptr = slot.owned_codes.data();
     counts_ptr = slot.owned_counts.data();
-    buckets_ptr =
-        slot.owned_buckets.empty() ? nullptr : slot.owned_buckets.data();
   }
 #endif
 
@@ -212,18 +186,12 @@ void ShardedSpectrumView::materialize(Slot& slot,
       codes_ptr, static_cast<std::size_t>(region.distinct));
   const auto counts = std::span<const std::uint32_t>(
       counts_ptr, static_cast<std::size_t>(region.distinct));
-  std::span<const std::uint64_t> buckets;
-  if (buckets_ptr != nullptr && region.prefix_index_bits > 0) {
-    buckets = std::span<const std::uint64_t>(
-        buckets_ptr,
-        (std::size_t{1} << region.prefix_index_bits) + 1);
-  }
   // No keepalive: the slot (and the view that owns it) outlives every
   // use of the spectrum — from_shards holds the view via shared_ptr.
   slot.spectrum = std::make_unique<kspec::KSpectrum>(
-      kspec::KSpectrum::adopt_external(
-          codes, counts, buckets, k_, region.total_instances,
-          buckets.empty() ? 0 : static_cast<int>(region.prefix_index_bits)));
+      kspec::KSpectrum::adopt_external(codes, counts, {}, k_,
+                                       region.total_instances, 0));
+  slot.spectrum->rebuild_prefix_index(-1, shard_bits_);
   materialized_.fetch_add(1, std::memory_order_relaxed);
   slot.ready.store(slot.spectrum.get(), std::memory_order_release);
 }

@@ -1,12 +1,20 @@
 #pragma once
 // Lazy query facade over a version-2 sharded spectrum index: the
 // kspec::SpectrumShardSource behind KSpectrum::from_shards. Each shard's
-// sections are mapped (or, when mmap is declined/unavailable/fails, read
-// into owned buffers — byte-identical results either way) on the first
-// query that touches the shard's prefix range, under a per-shard mutex
-// with a lock-free fast path for already-materialized shards. A
-// correction pass that only ever queries a fraction of the key space
-// therefore only ever pages in that fraction of the index.
+// codes/counts sections are mapped (or, when mmap is declined/
+// unavailable/fails, read into owned buffers — byte-identical results
+// either way) on the first query that touches the shard's prefix range,
+// under a per-shard mutex with a lock-free fast path for already-
+// materialized shards. A correction pass that only ever queries a
+// fraction of the key space therefore only ever pages in that fraction
+// of the index.
+//
+// Materialization also builds the shard's prefix-bucket table in one
+// linear pass over its codes, sized from the shard's own entry count
+// and indexing only the key bits below the shard prefix (every code of
+// a shard shares its top shard_bits), so a shard probe narrows to ~32
+// codes just like a flat spectrum's. Bucket-starts sections stored by
+// earlier writers are not read.
 //
 // The view keeps the index file open for its whole lifetime and owns
 // every materialized shard; KSpectrum::from_shards holds it via
@@ -24,17 +32,13 @@
 namespace ngs::index {
 
 /// Where one shard's payload lives in the file (offsets are
-/// kSectionAlignment-aligned by construction; buckets_bytes == 0 when
-/// the shard has no embedded prefix-bucket table).
+/// kSectionAlignment-aligned by construction).
 struct ShardRegion {
   std::uint32_t prefix = 0;
-  std::uint32_t prefix_index_bits = 0;
   std::uint64_t distinct = 0;
   std::uint64_t total_instances = 0;
   std::uint64_t codes_offset = 0;
   std::uint64_t counts_offset = 0;
-  std::uint64_t buckets_offset = 0;
-  std::uint64_t buckets_bytes = 0;
 };
 
 class ShardedSpectrumView : public kspec::SpectrumShardSource {

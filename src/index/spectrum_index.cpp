@@ -343,9 +343,15 @@ IndexInfo make_info(const Metadata& meta) {
                              entry.bytes, entry.checksum,
                              entry.shard_prefix});
   }
+  // The bucket width a load builds: over the key bits below the prefix.
+  const int bucket_key_bits =
+      2 * static_cast<int>(h.k) - static_cast<int>(h.shard_bits);
   for (const auto& shard : meta.shards) {
-    info.shards.push_back({shard.prefix, shard.prefix_index_bits,
-                           shard.distinct, shard.total_instances});
+    info.shards.push_back(
+        {shard.prefix,
+         kspec::KSpectrum::auto_prefix_index_bits(shard.distinct,
+                                                  bucket_key_bits),
+         shard.distinct, shard.total_instances});
   }
   return info;
 }
@@ -645,13 +651,13 @@ ShardedIndexWriter::ShardedIndexWriter(const std::string& path,
   impl_->shard_bits = shard_bits;
   impl_->shard_count = shard_count;
   impl_->shards.reserve(shard_count);
-  impl_->table.reserve(3 * shard_count + 1);
-  // Reserve the worst-case metadata region (header + three sections per
+  impl_->table.reserve(2 * shard_count + 1);
+  // Reserve the metadata region (header + codes/counts sections per
   // shard + the shard table) and fill it with zeros; finish() overwrites
   // it in place once every offset and checksum is known.
   impl_->metadata_region =
       align_up(sizeof(IndexHeader) +
-               (3 * std::uint64_t{shard_count} + 1) * sizeof(SectionEntry));
+               (2 * std::uint64_t{shard_count} + 1) * sizeof(SectionEntry));
   std::vector<unsigned char> zeros(
       static_cast<std::size_t>(impl_->metadata_region), 0);
   emit_through(impl_->file, zeros.data(), zeros.size());
@@ -678,11 +684,12 @@ void ShardedIndexWriter::append_shard(std::uint32_t prefix,
     fail(Kind::kBadLayout, path,
          "empty shard appended (omit empty bins and lower shard_count)");
   }
-  // Route through from_sorted_counts: it builds the shard's own
-  // prefix-bucket table and (in debug builds) re-checks the sorted-
-  // unique invariant the concatenation identity rests on.
+  // Route through from_sorted_counts: in debug builds it re-checks the
+  // sorted-unique invariant the concatenation identity rests on. No
+  // bucket table is built or stored: the reader builds a prefix-relative
+  // one when it materializes the shard.
   kspec::KSpectrum shard = kspec::KSpectrum::from_sorted_counts(
-      std::move(codes), std::move(counts), im.build.k);
+      std::move(codes), std::move(counts), im.build.k, 0);
   const int shift = 2 * im.build.k - im.shard_bits;
   if (!shard.empty() &&
       ((shard.codes().front() >> shift) != prefix ||
@@ -709,14 +716,8 @@ void ShardedIndexWriter::append_shard(std::uint32_t prefix,
                shard.codes().size_bytes());
   emit_section(SectionId::kCounts, shard.counts().data(),
                shard.counts().size_bytes());
-  if (shard.prefix_index_bits() > 0) {
-    emit_section(SectionId::kBucketStarts, shard.bucket_starts().data(),
-                 shard.bucket_starts().size_bytes());
-  }
   ShardEntry row{};
   row.prefix = prefix;
-  row.prefix_index_bits =
-      static_cast<std::uint32_t>(shard.prefix_index_bits());
   row.distinct = shard.size();
   row.total_instances = shard.total_instances();
   im.shards.push_back(row);
@@ -806,23 +807,15 @@ SpectrumIndex SpectrumIndex::load(const std::string& path,
                     path);
       check_section(counts_sec, shard.distinct * sizeof(std::uint32_t), meta,
                     path);
+      // A bucket-starts section (files from earlier writers) is covered
+      // by the checksums but never read: the view builds each shard's
+      // table from its codes.
       ShardRegion region;
       region.prefix = shard.prefix;
-      region.prefix_index_bits = shard.prefix_index_bits;
       region.distinct = shard.distinct;
       region.total_instances = shard.total_instances;
       region.codes_offset = codes_sec.offset;
       region.counts_offset = counts_sec.offset;
-      if (shard.prefix_index_bits > 0) {
-        const SectionEntry& buckets_sec = require_shard_section(
-            meta, SectionId::kBucketStarts, shard.prefix, path);
-        check_section(buckets_sec,
-                      ((std::uint64_t{1} << shard.prefix_index_bits) + 1) *
-                          sizeof(std::uint64_t),
-                      meta, path);
-        region.buckets_offset = buckets_sec.offset;
-        region.buckets_bytes = buckets_sec.bytes;
-      }
       regions.push_back(region);
     }
 
@@ -862,15 +855,6 @@ SpectrumIndex SpectrumIndex::load(const std::string& path,
           os << "invalid spectrum payload: shard " << shard.prefix
              << " counts sum to " << total << " but the shard table "
              << "declares " << shard.total_instances;
-          fail(Kind::kInvalidPayload, path, os.str());
-        }
-        const auto buckets = s->bucket_starts();
-        if (!buckets.empty() &&
-            (buckets.front() != 0 || buckets.back() != shard.distinct ||
-             !std::is_sorted(buckets.begin(), buckets.end()))) {
-          std::ostringstream os;
-          os << "invalid spectrum payload: shard " << shard.prefix
-             << " bucket table does not partition the shard";
           fail(Kind::kInvalidPayload, path, os.str());
         }
       }

@@ -114,7 +114,10 @@ struct IndexInfo {
   /// Per-shard rows of a version-2 file, ascending by prefix.
   struct Shard {
     std::uint32_t prefix = 0;
-    std::uint32_t prefix_index_bits = 0;
+    /// Width of the prefix-bucket table a load builds for this shard
+    /// over the key bits below its prefix (0 = none: a small shard is
+    /// binary-searched whole).
+    int bucket_bits = 0;
     std::uint64_t distinct = 0;
     std::uint64_t total_instances = 0;
   };

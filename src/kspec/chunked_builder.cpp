@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "kspec/radix.hpp"
-#include "seq/alphabet.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -59,10 +58,10 @@ void ChunkedSpectrumBuilder::add_read(std::string_view bases) {
     // threshold; the slack absorbs the final read's windows.
     buffer_.reserve(spill_threshold_ + 4096);
   }
-  seq::extract_kmer_codes(bases, k_, buffer_);
   if (both_strands_) {
-    const std::string rc = seq::reverse_complement(bases);
-    seq::extract_kmer_codes(rc, k_, buffer_);
+    seq::extract_kmer_codes_both_strands(bases, k_, buffer_);
+  } else {
+    seq::extract_kmer_codes(bases, k_, buffer_);
   }
   peak_buffered_ = std::max(peak_buffered_, buffer_.size());
   if (memory_budget_ > 0) {

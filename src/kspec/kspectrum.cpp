@@ -9,23 +9,29 @@
 #include <utility>
 
 #include "kspec/radix.hpp"
-#include "seq/alphabet.hpp"
 #include "util/batch_search.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ngs::kspec {
 
-namespace {
-
-/// Auto prefix-index width: ~32 codes per bucket, capped so the offset
-/// table stays a few MB and never exceeds the key width.
-int auto_prefix_bits(std::size_t size, int k) noexcept {
-  if (size < 64) return 0;
+int KSpectrum::auto_prefix_index_bits(std::size_t size,
+                                      int key_bits) noexcept {
+  // ~32 codes per bucket, capped so the offset table stays a few MB and
+  // never exceeds the key width.
+  if (size < 64 || key_bits < 1) return 0;
   return std::clamp(static_cast<int>(std::bit_width(size / 32)), 1,
-                    std::min(2 * k, 20));
+                    std::min(key_bits, 20));
 }
 
-}  // namespace
+void KSpectrum::set_bucket_geometry(int bits,
+                                    int shared_prefix_bits) noexcept {
+  const int key_bits = 2 * k_ - shared_prefix_bits;
+  prefix_bits_ = bits;
+  bucket_shift_ = key_bits - bits;
+  bucket_mask_ = shared_prefix_bits == 0
+                     ? ~seq::KmerCode{0}
+                     : (seq::KmerCode{1} << key_bits) - 1;
+}
 
 void KSpectrum::rebind_owned() noexcept {
   external_ = false;
@@ -39,6 +45,8 @@ void KSpectrum::move_from(KSpectrum&& other) noexcept {
   k_ = other.k_;
   total_ = other.total_;
   prefix_bits_ = other.prefix_bits_;
+  bucket_mask_ = other.bucket_mask_;
+  bucket_shift_ = other.bucket_shift_;
   external_ = other.external_;
   // Whether each view pointed at the owned vectors must be decided
   // before the vectors move (std::vector moves preserve the buffer, but
@@ -63,6 +71,8 @@ void KSpectrum::move_from(KSpectrum&& other) noexcept {
   other.k_ = 0;
   other.total_ = 0;
   other.prefix_bits_ = 0;
+  other.bucket_mask_ = ~seq::KmerCode{0};
+  other.bucket_shift_ = 0;
   other.external_ = false;
   other.codes_ = {};
   other.counts_ = {};
@@ -87,6 +97,8 @@ KSpectrum& KSpectrum::operator=(const KSpectrum& other) {
   k_ = other.k_;
   total_ = other.total_;
   prefix_bits_ = other.prefix_bits_;
+  bucket_mask_ = other.bucket_mask_;
+  bucket_shift_ = other.bucket_shift_;
   external_ = other.external_;
   if (other.external_) {
     // Views are cheap to share: both copies alias the same external
@@ -219,7 +231,7 @@ KSpectrum KSpectrum::adopt_external(std::span<const seq::KmerCode> codes,
   s.counts_ = counts;
   s.bucket_starts_ = prefix_bits > 0 ? bucket_starts
                                      : std::span<const std::uint64_t>{};
-  s.prefix_bits_ = prefix_bits > 0 ? prefix_bits : 0;
+  s.set_bucket_geometry(prefix_bits > 0 ? prefix_bits : 0, 0);
   s.keepalive_ = std::move(keepalive);
   return s;
 }
@@ -237,10 +249,10 @@ KSpectrum KSpectrum::build(const seq::ReadSet& reads, int k,
   }
   instances.reserve(windows * (both_strands ? 2 : 1));
   for (const auto& r : reads.reads) {
-    seq::extract_kmer_codes(r.bases, k, instances);
     if (both_strands) {
-      const std::string rc = seq::reverse_complement(r.bases);
-      seq::extract_kmer_codes(rc, k, instances);
+      seq::extract_kmer_codes_both_strands(r.bases, k, instances);
+    } else {
+      seq::extract_kmer_codes(r.bases, k, instances);
     }
   }
   return from_instances(std::move(instances), k, options);
@@ -252,32 +264,33 @@ KSpectrum KSpectrum::build_from_sequence(std::string_view sequence, int k,
   std::vector<seq::KmerCode> instances;
   instances.reserve(seq::max_kmer_windows(sequence.size(), k) *
                     (both_strands ? 2 : 1));
-  seq::extract_kmer_codes(sequence, k, instances);
   if (both_strands) {
-    const std::string rc = seq::reverse_complement(std::string(sequence));
-    seq::extract_kmer_codes(rc, k, instances);
+    seq::extract_kmer_codes_both_strands(sequence, k, instances);
+  } else {
+    seq::extract_kmer_codes(sequence, k, instances);
   }
   return from_instances(std::move(instances), k, options);
 }
 
-void KSpectrum::rebuild_prefix_index(int prefix_index_bits) {
+void KSpectrum::rebuild_prefix_index(int prefix_index_bits,
+                                     int shared_prefix_bits) {
   if (shard_bits_ > 0) return;  // shards carry their own bucket tables
+  const int key_bits = 2 * k_ - shared_prefix_bits;
   const int bits = prefix_index_bits < 0
-                       ? auto_prefix_bits(codes_.size(), k_)
-                       : std::min({prefix_index_bits, 2 * k_, 24});
+                       ? auto_prefix_index_bits(codes_.size(), key_bits)
+                       : std::min({prefix_index_bits, key_bits, 24});
   if (bits <= 0 || codes_.empty()) {
-    prefix_bits_ = 0;
+    set_bucket_geometry(0, 0);
     bucket_starts_vec_.clear();
     bucket_starts_vec_.shrink_to_fit();
     bucket_starts_ = {};
     return;
   }
-  prefix_bits_ = bits;
-  const int shift = 2 * k_ - bits;
+  set_bucket_geometry(bits, shared_prefix_bits);
   const std::size_t buckets = std::size_t{1} << bits;
   bucket_starts_vec_.assign(buckets + 1, 0);
   for (const seq::KmerCode code : codes_) {
-    ++bucket_starts_vec_[(code >> shift) + 1];
+    ++bucket_starts_vec_[bucket_of(code) + 1];
   }
   for (std::size_t b = 1; b <= buckets; ++b) {
     bucket_starts_vec_[b] += bucket_starts_vec_[b - 1];
@@ -290,8 +303,7 @@ std::int64_t KSpectrum::index_of(seq::KmerCode code) const {
   const seq::KmerCode* first = codes_.data();
   const seq::KmerCode* last = first + codes_.size();
   if (prefix_bits_ > 0) {
-    const std::size_t b =
-        static_cast<std::size_t>(code >> (2 * k_ - prefix_bits_));
+    const std::size_t b = bucket_of(code);
     if (b + 1 >= bucket_starts_.size()) return -1;  // key out of range
     first = codes_.data() + bucket_starts_[b];
     last = codes_.data() + bucket_starts_[b + 1];
@@ -325,8 +337,7 @@ void KSpectrum::index_of_batch(std::span<const seq::KmerCode> probes,
       lo[j] = 0;
       hi[j] = codes_.size();
       if (prefix_bits_ > 0) {
-        const std::size_t b =
-            static_cast<std::size_t>(code >> (2 * k_ - prefix_bits_));
+        const std::size_t b = bucket_of(code);
         if (b + 1 >= bucket_starts_.size()) {  // key out of range
           hi[j] = 0;
         } else {

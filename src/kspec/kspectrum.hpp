@@ -202,11 +202,21 @@ class KSpectrum {
                       std::span<std::int64_t> out) const;
 
   /// (Re)builds the prefix-bucket lookup table: 2^bits offsets into the
-  /// sorted array, one per top-bits key prefix. -1 = auto width from the
-  /// spectrum size, 0 = drop the index. Purely an accessor structure —
-  /// never changes lookup results. Valid on external spectra too (the
-  /// rebuilt table is owned; the code/count views are untouched).
-  void rebuild_prefix_index(int prefix_index_bits = -1);
+  /// sorted array, one per key prefix. -1 = auto width from the spectrum
+  /// size, 0 = drop the index. `shared_prefix_bits` is the number of top
+  /// key bits every code shares (a shard of a sharded spectrum: its
+  /// shard prefix); the table then indexes the bits just below them, so
+  /// no bucket is spent on the constant prefix. 0 = a flat spectrum
+  /// (the bucket mask is a no-op). Purely an accessor structure — never
+  /// changes lookup results. Valid on external spectra too (the rebuilt
+  /// table is owned; the code/count views are untouched).
+  void rebuild_prefix_index(int prefix_index_bits = -1,
+                            int shared_prefix_bits = 0);
+
+  /// The width rebuild_prefix_index(-1, ...) picks for `size` codes over
+  /// `key_bits` indexable key bits: ~32 codes per bucket, capped at 20
+  /// bits and at the key width (0 below 64 codes).
+  static int auto_prefix_index_bits(std::size_t size, int key_bits) noexcept;
 
   /// Width of the active prefix index (0 = disabled).
   int prefix_index_bits() const noexcept { return prefix_bits_; }
@@ -242,6 +252,12 @@ class KSpectrum {
   /// Points the code/count views at the owned vectors (after they were
   /// filled or moved).
   void rebind_owned() noexcept;
+  /// Sets prefix_bits_ and the bucket mask/shift for a `bits`-wide table
+  /// below `shared_prefix_bits` constant top bits.
+  void set_bucket_geometry(int bits, int shared_prefix_bits) noexcept;
+  std::size_t bucket_of(seq::KmerCode code) const noexcept {
+    return static_cast<std::size_t>((code & bucket_mask_) >> bucket_shift_);
+  }
   void move_from(KSpectrum&& other) noexcept;
 
   // Out-of-line sharded lookup paths (kspectrum.cpp).
@@ -267,6 +283,10 @@ class KSpectrum {
   std::span<const std::uint32_t> counts_;    // parallel multiplicities
   std::span<const std::uint64_t> bucket_starts_;  // 2^prefix_bits_ + 1
   int prefix_bits_ = 0;  // 0 = no prefix index
+  // Bucket of `code`: (code & bucket_mask_) >> bucket_shift_. The mask
+  // clears a shard's shared prefix; it is all ones on a flat spectrum.
+  seq::KmerCode bucket_mask_ = ~seq::KmerCode{0};
+  int bucket_shift_ = 0;
   std::shared_ptr<const void> keepalive_;  // owner of external memory
   // Sharded mode (from_shards): lookups route by code >> (2k −
   // shard_bits_) into `shard_source_`; `shard_starts_` (2^shard_bits_+1

@@ -1,5 +1,6 @@
 #include "seq/kmer.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ngs::seq {
@@ -79,6 +80,43 @@ void extract_kmer_codes(std::string_view s, int k,
     }
     code = ((code << 2) | b) & mask;
     if (++valid >= k) out.push_back(code);
+  }
+}
+
+void extract_kmer_codes_both_strands(std::string_view s, int k,
+                                     std::vector<KmerCode>& out) {
+  const std::size_t windows = max_kmer_windows(s.size(), k);
+  if (windows == 0) return;
+  const KmerCode mask =
+      k == 32 ? ~KmerCode{0} : ((KmerCode{1} << (2 * k)) - 1);
+  const int top = 2 * (k - 1);
+  // Forward codes fill the front of the new tail ascending; reverse
+  // codes fill its back descending, which is reverse-complement string
+  // order. Skipped windows leave a gap between them, closed at the end.
+  const std::size_t base = out.size();
+  out.resize(base + 2 * windows);
+  KmerCode* fwd = out.data() + base;
+  KmerCode* rev = out.data() + base + 2 * windows;
+  KmerCode code = 0;
+  KmerCode rc = 0;
+  int valid = 0;
+  for (const char c : s) {
+    const std::uint8_t b = base_to_code(c);
+    if (b == kInvalidBase) {
+      valid = 0;
+      continue;
+    }
+    code = ((code << 2) | b) & mask;
+    rc = (rc >> 2) | (KmerCode{complement_code(b)} << top);
+    if (++valid >= k) {
+      *fwd++ = code;
+      *--rev = rc;
+    }
+  }
+  const std::size_t kept = static_cast<std::size_t>(fwd - (out.data() + base));
+  if (kept < windows) {
+    std::copy(rev, out.data() + base + 2 * windows, fwd);
+    out.resize(base + 2 * kept);
   }
 }
 

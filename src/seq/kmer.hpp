@@ -92,6 +92,13 @@ void extract_kmers(std::string_view s, int k,
 void extract_kmer_codes(std::string_view s, int k,
                         std::vector<KmerCode>& out);
 
+/// Codes of both strands from one rolling pass: appends exactly what
+/// extract_kmer_codes(s) followed by extract_kmer_codes(
+/// reverse_complement(s)) would, in the same order, without building
+/// the reverse-complement string.
+void extract_kmer_codes_both_strands(std::string_view s, int k,
+                                     std::vector<KmerCode>& out);
+
 /// All packed codes within Hamming distance exactly 1..d of `code`
 /// (the complete d-neighborhood N^dc minus the kmer itself). Appends to
 /// out. Sizes: sum_{e=1..d} C(k,e)*3^e.

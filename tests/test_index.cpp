@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -20,12 +21,14 @@
 #include "core/pipeline.hpp"
 #include "core/registry.hpp"
 #include "index/format.hpp"
+#include "index/sharded_view.hpp"
 #include "index/spectrum_index.hpp"
 #include "io/fastx.hpp"
 #include "kspec/kspectrum.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -714,6 +717,217 @@ TEST(CorrectionPipeline, BufferedMethodsRejectIndexFlags) {
   save_opts.save_index_path = path;
   core::CorrectionPipeline saving(make_method("reptile"), save_opts);
   EXPECT_THROW(saving.run(factory_for(fastq), out), std::invalid_argument);
+}
+
+// --- Shard bucket tables ----------------------------------------------
+
+/// Writes `spectrum`, split by its top `shard_bits`, in the version-2
+/// layout earlier writers produced: per shard a codes, a counts and a
+/// bucket-starts section, the bucket table indexed by the top bits of
+/// the full 2k-bit key (the auto width of a flat spectrum of the shard's
+/// size) with that width in the shard row, behind a metadata region
+/// sized for three sections per shard.
+void write_full_key_bucket_layout(const std::string& path,
+                                  const kspec::KSpectrum& spectrum,
+                                  int shard_bits) {
+  const int k = spectrum.k();
+  const int shift = 2 * k - shard_bits;
+  std::vector<std::uint32_t> prefixes;
+  std::vector<kspec::KSpectrum> shards;
+  const auto codes = spectrum.codes();
+  const auto counts = spectrum.counts();
+  for (std::size_t i = 0; i < codes.size();) {
+    const auto p = static_cast<std::uint32_t>(codes[i] >> shift);
+    std::size_t j = i;
+    while (j < codes.size() && (codes[j] >> shift) == p) ++j;
+    prefixes.push_back(p);
+    shards.push_back(kspec::KSpectrum::from_sorted_counts(
+        std::vector<seq::KmerCode>(codes.begin() + i, codes.begin() + j),
+        std::vector<std::uint32_t>(counts.begin() + i, counts.begin() + j),
+        k));
+    i = j;
+  }
+  std::string bytes(
+      index::align_up(sizeof(index::IndexHeader) +
+                      (3 * shards.size() + 1) * sizeof(index::SectionEntry)),
+      '\0');
+  std::vector<index::SectionEntry> table;
+  const auto emit = [&](index::SectionId id, std::uint32_t prefix,
+                        const void* data, std::size_t n) {
+    bytes.resize(index::align_up(bytes.size()), '\0');
+    index::SectionEntry entry{};
+    entry.id = static_cast<std::uint32_t>(id);
+    entry.shard_prefix = prefix;
+    entry.offset = bytes.size();
+    entry.bytes = n;
+    entry.checksum = index::fnv1a64(data, n);
+    bytes.append(static_cast<const char*>(data), n);
+    table.push_back(entry);
+  };
+  std::vector<index::ShardEntry> rows;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const auto& shard = shards[i];
+    emit(index::SectionId::kCodes, prefixes[i], shard.codes().data(),
+         shard.codes().size_bytes());
+    emit(index::SectionId::kCounts, prefixes[i], shard.counts().data(),
+         shard.counts().size_bytes());
+    if (shard.prefix_index_bits() > 0) {
+      emit(index::SectionId::kBucketStarts, prefixes[i],
+           shard.bucket_starts().data(), shard.bucket_starts().size_bytes());
+    }
+    rows.push_back({prefixes[i],
+                    static_cast<std::uint32_t>(shard.prefix_index_bits()),
+                    shard.size(), shard.total_instances()});
+  }
+  emit(index::SectionId::kShardTable, 0, rows.data(),
+       rows.size() * sizeof(index::ShardEntry));
+  bytes.resize(index::align_up(bytes.size()), '\0');
+
+  const auto build = build_info_for(spectrum);
+  index::IndexHeader header{};
+  std::memcpy(header.magic, index::kIndexMagic, sizeof(index::kIndexMagic));
+  header.format_version = index::kFormatVersionSharded;
+  header.header_bytes = sizeof(index::IndexHeader);
+  header.k = static_cast<std::uint32_t>(k);
+  header.flags = index::kFlagBothStrands;
+  header.distinct = spectrum.size();
+  header.total_instances = spectrum.total_instances();
+  header.section_count = static_cast<std::uint32_t>(table.size());
+  header.input_reads = build.input_reads;
+  header.input_bases = build.input_bases;
+  header.max_read_length = build.max_read_length;
+  header.endian_tag = index::kEndianTag;
+  header.file_bytes = bytes.size();
+  header.shard_count = static_cast<std::uint32_t>(shards.size());
+  header.shard_bits = static_cast<std::uint32_t>(shard_bits);
+  std::uint64_t checksum = index::fnv1a64(&header, sizeof(header));
+  for (const auto& entry : table) {
+    checksum = index::fnv1a64(&entry, sizeof(entry), checksum);
+  }
+  header.header_checksum = checksum;
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  std::memcpy(bytes.data() + sizeof(header), table.data(),
+              table.size() * sizeof(index::SectionEntry));
+  spew(path, bytes);
+}
+
+/// index_of, count and index_of_batch of `spec` agree with `flat` on
+/// every member (strided) and on random codes, mostly non-members.
+void expect_same_lookups(const kspec::KSpectrum& spec,
+                         const kspec::KSpectrum& flat, std::uint64_t seed) {
+  const int k = flat.k();
+  const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
+  util::Rng rng(seed);
+  std::vector<seq::KmerCode> probes;
+  for (std::size_t i = 0; i < flat.size(); i += 7) {
+    probes.push_back(flat.code_at(i));
+  }
+  for (int q = 0; q < 5000; ++q) probes.push_back(rng() & mask);
+  std::vector<std::int64_t> batch(probes.size());
+  spec.index_of_batch(probes, batch);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const std::int64_t want = flat.index_of(probes[i]);
+    ASSERT_EQ(spec.index_of(probes[i]), want) << probes[i];
+    ASSERT_EQ(batch[i], want) << probes[i];
+    ASSERT_EQ(spec.count(probes[i]), flat.count(probes[i])) << probes[i];
+  }
+}
+
+std::size_t largest_bucket(const kspec::KSpectrum& spectrum) {
+  const auto starts = spectrum.bucket_starts();
+  std::size_t largest = starts.empty() ? spectrum.size() : 0;
+  for (std::size_t b = 1; b < starts.size(); ++b) {
+    largest = std::max<std::size_t>(largest, starts[b] - starts[b - 1]);
+  }
+  return largest;
+}
+
+TEST(ShardedIndex, ShardBucketsIndexTheKeyBitsBelowThePrefix) {
+  // A 1 MiB pass-1 budget spills this run into prefix bins, as
+  // `--memory-budget-mb 1` does.
+  const auto run = make_run(4242, 30.0);
+  const int k = 12;
+  const auto flat = kspec::KSpectrum::build(run.reads, k, true);
+  std::ostringstream fastq;
+  io::write_fastq(fastq, run.reads);
+  core::PipelineOptions options;
+  options.memory_budget_bytes = std::size_t{1} << 20;
+  options.spill_dir = testing::TempDir();
+  options.save_index_path = temp_path("shard_buckets");
+  util::ThreadPool pool(2);
+  const auto built = core::build_spectrum(
+      [text = fastq.str()] { return std::make_unique<std::istringstream>(text); },
+      k, true, options, pool);
+  const std::string& path = options.save_index_path;
+  const auto info = index::SpectrumIndex::read_info(path);
+  ASSERT_EQ(info.format_version, index::kFormatVersionSharded);
+  ASSERT_GE(info.shard_count, 8u);
+  for (const auto& section : info.sections) {
+    EXPECT_NE(section.id, index::SectionId::kBucketStarts)
+        << "bucket tables are built at load, not stored";
+  }
+
+  // Every materialized shard probes a bucket about as small as the flat
+  // spectrum's: its table spends no bits on the shared prefix.
+  std::vector<index::ShardRegion> regions;
+  for (const auto& shard : info.shards) {
+    index::ShardRegion region;
+    region.prefix = shard.prefix;
+    region.distinct = shard.distinct;
+    region.total_instances = shard.total_instances;
+    for (const auto& s : info.sections) {
+      if (s.shard_prefix != shard.prefix) continue;
+      if (s.id == index::SectionId::kCodes) region.codes_offset = s.offset;
+      if (s.id == index::SectionId::kCounts) region.counts_offset = s.offset;
+    }
+    regions.push_back(region);
+  }
+  const index::ShardedSpectrumView view(path, k,
+                                        static_cast<int>(info.shard_bits),
+                                        regions, true);
+  const std::size_t flat_largest = largest_bucket(flat);
+  ASSERT_GT(flat.prefix_index_bits(), 0);
+  for (const auto& shard : info.shards) {
+    const kspec::KSpectrum* s = view.shard(shard.prefix);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->prefix_index_bits(), shard.bucket_bits);
+    EXPECT_GT(s->prefix_index_bits(), 0);
+    EXPECT_LE(largest_bucket(*s), 2 * flat_largest)
+        << "shard " << shard.prefix << " (flat largest " << flat_largest
+        << ")";
+  }
+
+  const auto loaded = index::SpectrumIndex::load(path);
+  ASSERT_EQ(loaded.spectrum().size(), flat.size());
+  expect_same_lookups(loaded.spectrum(), flat, 5);
+  expect_same_lookups(built.spectrum, flat, 6);
+  std::remove(path.c_str());
+}
+
+TEST(ShardedIndex, FullKeyBucketSectionsOfEarlierWritersLoadIdentically) {
+  const int k = 12;
+  const auto flat = kspec::KSpectrum::build(make_run(77, 20.0).reads, k, true);
+  const std::string path = temp_path("full_key_buckets");
+  write_full_key_bucket_layout(path, flat, 6);
+  const auto info = index::SpectrumIndex::read_info(path);
+  ASSERT_EQ(info.format_version, index::kFormatVersionSharded);
+  ASSERT_EQ(info.shard_count, 64u);
+  EXPECT_EQ(std::count_if(info.sections.begin(), info.sections.end(),
+                          [](const index::IndexInfo::Section& s) {
+                            return s.id == index::SectionId::kBucketStarts;
+                          }),
+            64);
+  for (const bool use_mmap : {true, false}) {
+    index::LoadOptions options;
+    options.use_mmap = use_mmap;
+    options.verify_checksums = true;
+    options.validate_payload = true;
+    const auto loaded = index::SpectrumIndex::load(path, options);
+    ASSERT_TRUE(loaded.spectrum().sharded());
+    ASSERT_EQ(loaded.spectrum().size(), flat.size());
+    expect_same_lookups(loaded.spectrum(), flat, use_mmap ? 8 : 9);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -146,6 +146,22 @@ TEST(Kmer, ExtractHandlesShortInput) {
   EXPECT_TRUE(codes.empty());
 }
 
+TEST(Kmer, BothStrandsExtractionMatchesTwoPasses) {
+  ngs::util::Rng rng(17);
+  for (const int k : {1, 4, 12, 31, 32}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string s(rng.below(80), 'A');
+      for (auto& c : s) c = "ACGTacgtNn"[rng.below(trial % 2 == 0 ? 4 : 10)];
+      std::vector<KmerCode> want = {7, 9};  // appends after existing codes
+      extract_kmer_codes(s, k, want);
+      extract_kmer_codes(reverse_complement(s), k, want);
+      std::vector<KmerCode> got = {7, 9};
+      extract_kmer_codes_both_strands(s, k, got);
+      ASSERT_EQ(got, want) << "k=" << k << " s=" << s;
+    }
+  }
+}
+
 TEST(Kmer, NeighborEnumerationCountsAndDistances) {
   const int k = 6;
   const auto code = encode_kmer("ACGTCA").value();

@@ -645,7 +645,9 @@ TEST_F(ServerTest, SaturationShedsWithTypedBusy) {
                 .seq;
     }
     // Replies come back in request order regardless of shedding.
-    if (!first) EXPECT_GT(seq, last_reply_seq);
+    if (!first) {
+      EXPECT_GT(seq, last_reply_seq);
+    }
     last_reply_seq = seq;
     first = false;
   }

@@ -2,7 +2,7 @@
 // line: reads in (FASTA or FASTQ), cluster assignments out (TSV with one
 // column per similarity threshold).
 //
-//   ngs-cluster --in 16s.fasta --thresholds 0.95,0.90,0.85 \\
+//   ngs-cluster --in 16s.fasta --thresholds 0.95,0.90,0.85
 //               --out clusters.tsv
 
 #include <fstream>

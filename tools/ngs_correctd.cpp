@@ -5,7 +5,7 @@
 // the indexes without dropping in-flight requests; SIGTERM/SIGINT shut
 // down cleanly.
 //
-//   ngs-correctd --socket /tmp/ngs.sock --index 15=spectrum.ngsx \
+//   ngs-correctd --socket /tmp/ngs.sock --index 15=spectrum.ngsx
 //                --reads reads.fastq --threads 4
 //
 // --index is repeatable (one spectrum file per k; the `k=` prefix is

@@ -77,10 +77,13 @@ void print_info(const index::IndexInfo& info, const std::string& path) {
             << "  checksum: 0x" << std::hex << info.checksum << std::dec
             << "\n";
   if (info.shard_count > 0) {
+    const int shift = 2 * info.build.k - static_cast<int>(info.shard_bits);
     std::cout << "  shard_count: " << info.shard_count << "\n"
               << "  shard_bits: " << info.shard_bits << "\n"
+              << "  bucket_key_bits: " << shift
+              << " (each shard's bucket table, built at load, indexes the "
+                 "key bits below its prefix)\n"
               << "  shards:\n";
-    const int shift = 2 * info.build.k - static_cast<int>(info.shard_bits);
     for (const auto& shard : info.shards) {
       // Per-shard section rows (bytes + checksum), matched by prefix.
       std::cout << "    prefix=" << shard.prefix << " key_range=["
@@ -88,7 +91,7 @@ void print_info(const index::IndexInfo& info, const std::string& path) {
                 << (static_cast<std::uint64_t>(shard.prefix + 1) << shift)
                 << ") entries=" << shard.distinct
                 << " instances=" << shard.total_instances
-                << " prefix_index_bits=" << shard.prefix_index_bits << "\n";
+                << " bucket_bits=" << shard.bucket_bits << "\n";
       for (const auto& s : info.sections) {
         if (s.shard_prefix != shard.prefix ||
             s.id == index::SectionId::kShardTable) {
@@ -156,7 +159,7 @@ void print_info_json(const index::IndexInfo& info, const std::string& path) {
               << "    {\"prefix\": " << shard.prefix
               << ", \"entries\": " << shard.distinct
               << ", \"instances\": " << shard.total_instances
-              << ", \"prefix_index_bits\": " << shard.prefix_index_bits
+              << ", \"bucket_bits\": " << shard.bucket_bits
               << "}";
   }
   std::cout << (info.shards.empty() ? "],\n" : "\n  ],\n")
