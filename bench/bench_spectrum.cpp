@@ -1,10 +1,12 @@
 // Spectrum construction + lookup microbench. Builds the Table 2.1
 // D3-scale simulated dataset, times the serial seed path against the
 // radix-partitioned parallel build at several thread counts (verifying
-// byte-identical spectra), and times index_of with and without the
-// prefix-bucket index. Emits BENCH_spectrum.json (path overridable via
-// NGS_BENCH_JSON) so the perf trajectory of the k-spectrum stack is
-// recorded run over run.
+// byte-identical spectra), times the spilled finish phase's per-bin sort
+// and count (std::sort reference vs the LSD radix kernel, same bins),
+// and times index_of with and without the prefix-bucket index. Emits
+// BENCH_spectrum.json (path overridable via NGS_BENCH_JSON) with the
+// hardware block of the machine it ran on, so the perf trajectory of
+// the k-spectrum stack is recorded run over run.
 
 #include "bench_common.hpp"
 
@@ -18,6 +20,7 @@
 #include "index/spectrum_index.hpp"
 #include "kspec/chunked_builder.hpp"
 #include "kspec/kspectrum.hpp"
+#include "kspec/radix.hpp"
 #include "util/memory.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -143,6 +146,61 @@ int main() {
               << spill_peak_tracked << " bytes\n\n";
   }
 
+  // --- Spilled finish, per bin: the bins a 64-way spill partition
+  // makes of the same instances, each sorted and counted by the
+  // std::sort reference and by the radix kernel as finish_spilled runs
+  // it (sort_and_count_in_place over the bits below the prefix). Both
+  // sum the timed per-bin work of one pass. ---
+  constexpr int kShardBits = 6;
+  double bin_sort_s = 1e30;  // best of kRepeats passes
+  double bin_kernel_s = 1e30;
+  bool bins_identical = true;
+  std::size_t bin_instances = 0;
+  {
+    std::vector<std::vector<seq::KmerCode>> bins(std::size_t{1}
+                                                 << kShardBits);
+    {
+      std::vector<seq::KmerCode> instances;
+      for (const auto& r : reads.reads) {
+        instances.clear();
+        seq::extract_kmer_codes_both_strands(r.bases, k, instances);
+        for (const seq::KmerCode c : instances) {
+          bins[c >> (2 * k - kShardBits)].push_back(c);
+        }
+      }
+    }
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      double sort_s = 0.0, kernel_s = 0.0;
+      for (const auto& bin : bins) {
+        if (rep == 0) bin_instances += bin.size();
+        std::vector<seq::KmerCode> ref_input = bin, ref_codes, codes = bin;
+        std::vector<std::uint32_t> ref_counts, counts;
+        util::Timer t_sort;
+        kspec::serial_sort_and_count(std::move(ref_input), ref_codes,
+                                     ref_counts);
+        sort_s += t_sort.seconds();
+        util::Timer t_kernel;
+        kspec::sort_and_count_in_place(codes, 2 * k - kShardBits, counts);
+        kernel_s += t_kernel.seconds();
+        bins_identical = bins_identical && codes == ref_codes &&
+                         counts == ref_counts;
+      }
+      bin_sort_s = std::min(bin_sort_s, sort_s);
+      bin_kernel_s = std::min(bin_kernel_s, kernel_s);
+    }
+    util::Table bin_table({"Spilled finish (64 bins)", "Sort+count (s)",
+                           "Speedup", "Identical"});
+    bin_table.add_row({"std::sort (serial_sort_and_count)",
+                       util::Table::fixed(bin_sort_s, 4), "1.00x", "-"});
+    bin_table.add_row({"LSD radix kernel",
+                       util::Table::fixed(bin_kernel_s, 4),
+                       util::Table::fixed(bin_sort_s / bin_kernel_s, 2) + "x",
+                       bins_identical ? "yes" : "NO"});
+    bin_table.print(std::cout);
+    std::cout << "\n";
+    if (!bins_identical) std::abort();
+  }
+
   // --- Lookup: prefix index on/off over a hit/miss query mix. ---
   util::Rng rng(1234);
   const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
@@ -247,8 +305,7 @@ int main() {
        << "  \"reads\": " << reads.size() << ",\n"
        << "  \"bases\": " << reads.total_bases() << ",\n"
        << "  \"distinct_kmers\": " << reference.size() << ",\n"
-       << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ",\n"
+       << "  \"hardware\": " << bench::hardware_json() << ",\n"
        << "  \"serial_build_s\": " << serial_s << ",\n"
        << "  \"chunked_build_s\": " << chunked_s << ",\n"
        << "  \"spilled_build\": {\"seconds\": " << spilled_s
@@ -256,6 +313,13 @@ int main() {
        << ", \"spill_bytes\": " << spill_bytes
        << ", \"bins\": " << spill_bins
        << ", \"peak_tracked_bytes\": " << spill_peak_tracked << "},\n"
+       << "  \"spilled_finish_bins\": {\"bins\": " << (1 << kShardBits)
+       << ", \"instances\": " << bin_instances
+       << ", \"std_sort_s\": " << bin_sort_s
+       << ", \"radix_kernel_s\": " << bin_kernel_s
+       << ", \"speedup\": " << bin_sort_s / bin_kernel_s
+       << ", \"byte_identical\": " << (bins_identical ? "true" : "false")
+       << "},\n"
        << "  \"peak_rss_bytes\": " << util::peak_rss_bytes() << ",\n"
        << "  \"parallel_builds\": [\n";
   for (std::size_t i = 0; i < builds.size(); ++i) {

@@ -117,6 +117,17 @@ std::unique_ptr<std::istream> open_with_retry(const StreamFactory& open_input,
 
 }  // namespace
 
+std::string spill_budget_verdict(std::uint64_t peak_tracked_bytes,
+                                 std::uint64_t budget_mib) {
+  const std::string budget = std::to_string(budget_mib) + " MiB";
+  const std::string peak =
+      "(peak tracked " + std::to_string(peak_tracked_bytes) + " bytes)";
+  if (peak_tracked_bytes <= (budget_mib << 20)) {
+    return "pass 1 stayed under " + budget + " " + peak;
+  }
+  return "pass 1 exceeded the " + budget + " budget " + peak;
+}
+
 SpectrumBuild build_spectrum(const StreamFactory& open_input, int k,
                              bool both_strands,
                              const PipelineOptions& options,

@@ -226,6 +226,13 @@ SpectrumBuild build_spectrum(const StreamFactory& open_input, int k,
                              const PipelineOptions& options,
                              util::ThreadPool& pool);
 
+/// The verdict of a budgeted pass 1, as ngs-correct prints it after
+/// "spill: ": "pass 1 stayed under B MiB (peak tracked N bytes)" when the
+/// builder's tracked peak fits `budget_mib`, otherwise "pass 1 exceeded
+/// the B MiB budget (peak tracked N bytes)".
+std::string spill_budget_verdict(std::uint64_t peak_tracked_bytes,
+                                 std::uint64_t budget_mib);
+
 class CorrectionPipeline {
  public:
   using StreamFactory = core::StreamFactory;

@@ -23,7 +23,7 @@ ChunkedSpectrumBuilder::ChunkedSpectrumBuilder(int k, bool both_strands,
     spill_shard_bits_ = std::clamp(spill.shard_bits, 1, std::min(8, 2 * k));
     // A third of the budget buffers raw instances; the spill-bin
     // buffers take ~a sixth; the rest covers one bin's finish-phase
-    // read + sort + count arrays (see note_tracked).
+    // codes + sort scratch (see finish_spilled).
     spill_threshold_ = std::max<std::size_t>(
         4096, memory_budget_ / (3 * sizeof(seq::KmerCode)));
     if (!spill.spill_dir.empty()) {
@@ -198,26 +198,17 @@ void ChunkedSpectrumBuilder::finish_spilled(
   try {
     for (std::size_t b = 0; b < partitioner_->bin_count(); ++b) {
       if (partitioner_->bin_instances(b) == 0) continue;
-      std::vector<seq::KmerCode> codes = partitioner_->read_bin(b);
-      // Bins are a fraction of the multiset, so the in-place serial
-      // sort (no partition copy) is the memory-lean choice: the bin's
-      // 8n code bytes plus its 12n output bytes, and nothing else.
-      std::sort(codes.begin(), codes.end());
+      // Every code of the bin shares its top spill_shard_bits_, so the
+      // radix kernel sorts only the key bits below them. Its peak, the
+      // codes plus an equal scratch, is the finish phase's peak.
       SortedRun run;
       run.prefix = static_cast<std::uint32_t>(b);
-      run.codes.reserve(codes.size());
-      run.counts.reserve(codes.size());
-      for (std::size_t i = 0; i < codes.size();) {
-        std::size_t j = i;
-        while (j < codes.size() && codes[j] == codes[i]) ++j;
-        run.codes.push_back(codes[i]);
-        run.counts.push_back(static_cast<std::uint32_t>(j - i));
-        i = j;
-      }
-      note_tracked(codes.capacity() * sizeof(seq::KmerCode) +
-                   run.codes.capacity() * sizeof(seq::KmerCode) +
+      run.codes = partitioner_->read_bin(b);
+      note_tracked(2 * run.codes.capacity() * sizeof(seq::KmerCode));
+      sort_and_count_in_place(run.codes, 2 * k_ - spill_shard_bits_,
+                              run.counts);
+      note_tracked(run.codes.capacity() * sizeof(seq::KmerCode) +
                    run.counts.capacity() * sizeof(std::uint32_t));
-      codes = std::vector<seq::KmerCode>();  // free before handing off
       consume(std::move(run));
     }
   } catch (...) {

@@ -46,9 +46,10 @@ class SpillPartitioner;
 /// and the builder behaves exactly as before.
 struct SpillOptions {
   /// Peak bytes the build may hold in its own tracked structures
-  /// (instance buffer + spill-bin buffers + per-bin finish arrays);
-  /// 0 = unlimited (never spill). See peak_tracked_bytes() for what is
-  /// counted — thread-pool stacks and malloc overhead are not.
+  /// (instance buffer + spill-bin buffers + one bin's finish arrays:
+  /// 16 bytes per instance of the largest bin, its codes plus the radix
+  /// scratch); 0 = unlimited (never spill). See peak_tracked_bytes() for
+  /// what is counted — thread-pool stacks and malloc overhead are not.
   std::size_t memory_budget_bytes = 0;
   /// Directory for the per-bin spill files; "" = the system temp dir.
   std::string spill_dir;
@@ -110,10 +111,13 @@ class ChunkedSpectrumBuilder {
   void flush_spill();
 
   /// Out-of-core finalization: reads each non-empty spill bin back,
-  /// sorts and counts it in isolation, and hands the runs to `consume`
-  /// in ascending prefix order. Peak memory is one bin at a time — the
-  /// full spectrum never exists in this process unless the consumer
-  /// accumulates it. The builder is left empty and reusable.
+  /// sorts it with radix_sort_low_bits over the key bits below the bin
+  /// prefix, compacts its distinct codes in place, and hands the runs to
+  /// `consume` in ascending prefix order. Peak memory is one bin at a
+  /// time, 16 bytes per instance (codes plus sort scratch; the scratch
+  /// is freed before the 4-byte counts are sized) — the full spectrum
+  /// never exists in this process unless the consumer accumulates it.
+  /// The builder is left empty and reusable.
   void finish_spilled(const std::function<void(SortedRun&&)>& consume);
 
   /// Peak number of buffered instances observed (for tests/telemetry).
@@ -137,8 +141,8 @@ class ChunkedSpectrumBuilder {
   /// Directory the spill files live in (resolved from SpillOptions).
   const std::string& spill_dir() const noexcept { return spill_dir_; }
   /// The builder's own memory accounting, maxed over the whole build:
-  /// instance-buffer capacity + spill-bin buffer capacity + the
-  /// per-bin read/sort/count arrays of the finish phase. This is the
+  /// instance-buffer capacity + spill-bin buffer capacity + one bin's
+  /// codes, sort scratch and counts in the finish phase. This is the
   /// number the bounded-memory acceptance test asserts against the
   /// budget; it survives finish() so callers can read it afterwards
   /// (reset by the next add_read on a reused builder).

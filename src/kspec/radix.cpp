@@ -1,6 +1,7 @@
 #include "kspec/radix.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -21,18 +22,62 @@ namespace ngs::kspec {
 
 namespace {
 
+/// Widest LSD digit: a 2^11-entry histogram (16 KiB) stays on the stack
+/// and in L1, and a 64-bit key still needs only six passes.
+constexpr int kMaxDigitBits = 11;
+using DigitCounts = std::array<std::size_t, std::size_t{1} << kMaxDigitBits>;
+
 /// Shift that maps a code to its bucket: bucket = code >> shift. The key
 /// occupies the low 2k bits of the word, so the top `bits` of the key
 /// start at bit 2k - bits.
 inline int bucket_shift(int k, int bits) noexcept { return 2 * k - bits; }
+
+/// The radix width an entry point uses: chosen from the input size, or
+/// the caller's, capped at the key width; never negative.
+int resolve_bits(std::size_t n, int k, const RadixSortOptions& options) {
+  const int bits = options.radix_bits < 0 ? choose_radix_bits(n, k)
+                                          : std::min(options.radix_bits, 2 * k);
+  return std::max(bits, 0);
+}
+
+/// Distinct values in the ascending span `sorted`.
+std::size_t count_runs(std::span<const seq::KmerCode> sorted) noexcept {
+  std::size_t runs = sorted.empty() ? 0 : 1;
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    runs += sorted[i] != sorted[i - 1];
+  }
+  return runs;
+}
+
+/// Run-length encodes the ascending span `sorted` into the first
+/// count_runs(sorted) slots of `out_codes` / `out_counts` and returns
+/// that count. `out_codes` may be sorted.data() itself: the write cursor
+/// never passes the read cursor, so a span compacts in place.
+std::size_t run_length_count(std::span<const seq::KmerCode> sorted,
+                             seq::KmerCode* out_codes,
+                             std::uint32_t* out_counts) noexcept {
+  const std::size_t n = sorted.size();
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < n;) {
+    const seq::KmerCode code = sorted[i];
+    std::size_t j = i + 1;
+    while (j < n && sorted[j] == code) ++j;
+    out_codes[w] = code;
+    out_counts[w] = static_cast<std::uint32_t>(j - i);
+    ++w;
+    i = j;
+  }
+  return w;
+}
 
 struct Partition {
   std::vector<seq::KmerCode> sorted;    // bucket-major, each bucket sorted
   std::vector<std::size_t> offsets;     // size 2^bits + 1
 };
 
-/// Stable two-pass counting partition by the top `bits` key bits, then
-/// per-bucket sorts on the pool. Buckets cover disjoint ascending key
+/// Stable two-pass counting partition by the top `bits` (> 0) key bits,
+/// then per-bucket radix_sort_low_bits on the pool over the 2k - bits
+/// key bits below the prefix. Buckets cover disjoint ascending key
 /// ranges, so `sorted` is globally sorted on return.
 Partition partition_and_sort(std::vector<seq::KmerCode>&& codes, int k,
                              int bits, util::ThreadPool& pool) {
@@ -85,14 +130,84 @@ Partition partition_and_sort(std::vector<seq::KmerCode>&& codes, int k,
   codes.clear();
   codes.shrink_to_fit();
 
-  // Per-bucket sorts; each bucket is small enough to be cache-friendly.
-  pool.parallel_for(0, buckets, [&](std::size_t q) {
-    std::sort(out + part.offsets[q], out + part.offsets[q + 1]);
+  // Per-bucket radix sorts. Each block of buckets owns one scratch
+  // buffer sized to its largest bucket; the blocks are disjoint, so the
+  // scratch adds at most n codes while the input above is already freed.
+  const int low_bits = 2 * k - bits;
+  pool.parallel_for_blocked(0, buckets, [&](std::size_t lo, std::size_t hi) {
+    std::size_t largest = 0;
+    for (std::size_t q = lo; q < hi; ++q) {
+      largest = std::max(largest, part.offsets[q + 1] - part.offsets[q]);
+    }
+    std::vector<seq::KmerCode> scratch(largest);
+    for (std::size_t q = lo; q < hi; ++q) {
+      radix_sort_low_bits({out + part.offsets[q], out + part.offsets[q + 1]},
+                          low_bits, scratch);
+    }
   });
   return part;
 }
 
 }  // namespace
+
+void radix_sort_low_bits(std::span<seq::KmerCode> codes, int key_bits,
+                         std::span<seq::KmerCode> scratch) {
+  const std::size_t n = codes.size();
+  key_bits = std::min(key_bits, 64);
+  if (n < 2 || key_bits <= 0) return;
+  // Balanced digits: 18 bits sort as 9 + 9 rather than 11 + 7.
+  const int passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (key_bits + passes - 1) / passes;
+
+  seq::KmerCode* src = codes.data();
+  seq::KmerCode* dst = scratch.data();
+  // Only the first 2^digit_bits entries are ever used, so only those are
+  // zeroed: small buckets should not pay for a full 16 KiB clear.
+  const std::size_t radix = std::size_t{1} << digit_bits;
+  DigitCounts counts;
+  DigitCounts next;
+  std::fill_n(counts.begin(), radix, 0);
+  auto digit_mask = [&](int shift) {
+    const int width = std::min(digit_bits, key_bits - shift);
+    return (seq::KmerCode{1} << width) - 1;
+  };
+  {
+    const seq::KmerCode mask = digit_mask(0);
+    for (std::size_t i = 0; i < n; ++i) ++counts[src[i] & mask];
+  }
+  for (int shift = 0; shift < key_bits; shift += digit_bits) {
+    const seq::KmerCode mask = digit_mask(shift);
+    const int next_shift = shift + digit_bits;
+    const bool last = next_shift >= key_bits;
+    const seq::KmerCode next_mask = last ? 0 : digit_mask(next_shift);
+    std::size_t running = 0;
+    for (std::size_t d = 0; d <= mask; ++d) {
+      const std::size_t c = counts[d];
+      counts[d] = running;
+      running += c;
+    }
+    // Scatter, counting the next pass's digit on the way.
+    std::fill_n(next.begin(), radix, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const seq::KmerCode v = src[i];
+      dst[counts[(v >> shift) & mask]++] = v;
+      if (!last) ++next[(v >> next_shift) & next_mask];
+    }
+    std::swap(src, dst);
+    std::swap(counts, next);
+  }
+  if (src != codes.data()) std::copy(src, src + n, codes.data());
+}
+
+void sort_and_count_in_place(std::vector<seq::KmerCode>& codes, int key_bits,
+                             std::vector<std::uint32_t>& counts) {
+  {
+    std::vector<seq::KmerCode> scratch(codes.size());
+    radix_sort_low_bits(codes, key_bits, scratch);
+  }
+  counts.resize(count_runs(codes));
+  codes.resize(run_length_count(codes, codes.data(), counts.data()));
+}
 
 int choose_radix_bits(std::size_t n, int k) noexcept {
   if (n < 8192) return 0;
@@ -104,17 +219,15 @@ int choose_radix_bits(std::size_t n, int k) noexcept {
 
 void radix_sort_codes(std::vector<seq::KmerCode>& codes, int k,
                       const RadixSortOptions& options) {
-  const int bits = options.radix_bits < 0
-                       ? choose_radix_bits(codes.size(), k)
-                       : std::min(options.radix_bits, 2 * k);
-  if (bits <= 0 || codes.size() < 2) {
-    std::sort(codes.begin(), codes.end());
+  const int bits = resolve_bits(codes.size(), k, options);
+  if (bits == 0) {  // one bucket: sorted where it lies, no pool
+    std::vector<seq::KmerCode> scratch(codes.size());
+    radix_sort_low_bits(codes, 2 * k, scratch);
     return;
   }
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::default_pool();
-  Partition part = partition_and_sort(std::move(codes), k, bits, pool);
-  codes = std::move(part.sorted);
+  codes = partition_and_sort(std::move(codes), k, bits, pool).sorted;
 }
 
 void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,
@@ -136,44 +249,37 @@ void radix_sort_and_count(std::vector<seq::KmerCode>&& codes, int k,
                           std::vector<seq::KmerCode>& out_codes,
                           std::vector<std::uint32_t>& out_counts,
                           const RadixSortOptions& options) {
-  const int bits = options.radix_bits < 0
-                       ? choose_radix_bits(codes.size(), k)
-                       : std::min(options.radix_bits, 2 * k);
-  if (bits <= 0) {
-    serial_sort_and_count(std::move(codes), out_codes, out_counts);
+  const int bits = resolve_bits(codes.size(), k, options);
+  if (bits == 0) {  // one bucket: sort and count serially, no pool
+    sort_and_count_in_place(codes, 2 * k, out_counts);
+    out_codes.assign(codes.begin(), codes.end());  // exact capacity
+    codes = std::vector<seq::KmerCode>();
     return;
   }
   util::ThreadPool& pool =
       options.pool != nullptr ? *options.pool : util::default_pool();
   const Partition part = partition_and_sort(std::move(codes), k, bits, pool);
   const std::size_t buckets = part.offsets.size() - 1;
-  const seq::KmerCode* sorted = part.sorted.data();
+  auto bucket = [&](std::size_t q) {
+    return std::span<const seq::KmerCode>(
+        part.sorted.data() + part.offsets[q],
+        part.sorted.data() + part.offsets[q + 1]);
+  };
 
   // Aggregate per bucket: count distinct runs, prefix-sum into output
   // offsets, then run-length encode each bucket straight into its slice.
   // A run never crosses a bucket boundary (equal codes share a prefix).
   std::vector<std::size_t> distinct(buckets + 1, 0);
   pool.parallel_for(0, buckets, [&](std::size_t q) {
-    std::size_t runs = 0;
-    for (std::size_t i = part.offsets[q]; i < part.offsets[q + 1]; ++i) {
-      runs += (i == part.offsets[q] || sorted[i] != sorted[i - 1]);
-    }
-    distinct[q + 1] = runs;
+    distinct[q + 1] = count_runs(bucket(q));
   });
   for (std::size_t q = 0; q < buckets; ++q) distinct[q + 1] += distinct[q];
 
   out_codes.resize(distinct[buckets]);
   out_counts.resize(distinct[buckets]);
   pool.parallel_for(0, buckets, [&](std::size_t q) {
-    std::size_t w = distinct[q];
-    for (std::size_t i = part.offsets[q]; i < part.offsets[q + 1];) {
-      std::size_t j = i;
-      while (j < part.offsets[q + 1] && sorted[j] == sorted[i]) ++j;
-      out_codes[w] = sorted[i];
-      out_counts[w] = static_cast<std::uint32_t>(j - i);
-      ++w;
-      i = j;
-    }
+    run_length_count(bucket(q), out_codes.data() + distinct[q],
+                     out_counts.data() + distinct[q]);
   });
 }
 

@@ -5,7 +5,8 @@
 // Codes are sharded by their top `radix_bits` bits (the 5'-most bases,
 // since the codec stores the first base in the most significant pair)
 // into 2^radix_bits buckets with a two-pass stable counting partition,
-// then each bucket is sorted independently on a util::ThreadPool.
+// then each bucket is sorted independently on a util::ThreadPool by the
+// LSD radix kernel below, over the key bits under the shared prefix.
 // Because the buckets cover disjoint, ascending key ranges, their
 // concatenation is globally sorted — the output is byte-identical to a
 // single std::sort over the whole array, for every thread count and
@@ -41,6 +42,24 @@ struct RadixSortOptions {
   util::ThreadPool* pool = nullptr;
 };
 
+/// Sorts `codes` ascending with a stable LSD radix sort over their low
+/// `key_bits` bits (clamped to 64). Every code must carry the same bits
+/// above `key_bits` — a radix bucket or a spill bin shares its prefix —
+/// so no comparison is needed. Each pass sorts a digit of at most 11
+/// bits. `scratch` must hold at least codes.size() codes; its contents
+/// are clobbered. After an odd number of passes the result is copied
+/// back into `codes`. Serial; callers parallelize across spans.
+void radix_sort_low_bits(std::span<seq::KmerCode> codes, int key_bits,
+                         std::span<seq::KmerCode> scratch);
+
+/// The kernel on a whole vector: sorts `codes` (sharing every bit above
+/// `key_bits`) with radix_sort_low_bits through a scratch vector it frees
+/// before sizing `counts`, then run-length compacts the distinct codes
+/// into the front of `codes`, which is resized to the distinct count
+/// (its capacity is kept). Peak: 16 bytes per code, codes plus scratch.
+void sort_and_count_in_place(std::vector<seq::KmerCode>& codes, int key_bits,
+                             std::vector<std::uint32_t>& counts);
+
 /// Picks a radix width for `n` codes of a 2k-bit key: enough buckets to
 /// keep per-bucket sorts cache-resident and the pool busy, capped so the
 /// offset table stays small and never wider than the key itself.
@@ -61,8 +80,9 @@ void radix_sort_and_count(std::vector<seq::KmerCode>&& codes, int k,
                           std::vector<std::uint32_t>& out_counts,
                           const RadixSortOptions& options = {});
 
-/// Serial reference paths (the seed implementation), kept callable so
-/// benches and tests can diff the parallel output against them.
+/// Serial reference path (the seed implementation: std::sort plus a
+/// run-length loop), kept callable so benches and tests can diff the
+/// radix kernel's output against it.
 void serial_sort_and_count(std::vector<seq::KmerCode>&& codes,
                            std::vector<seq::KmerCode>& out_codes,
                            std::vector<std::uint32_t>& out_counts);

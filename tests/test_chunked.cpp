@@ -8,6 +8,7 @@
 
 #include "io/fastx.hpp"
 #include "kspec/chunked_builder.hpp"
+#include "kspec/radix.hpp"
 #include "sim/genome.hpp"
 #include "sim/read_sim.hpp"
 #include "util/rng.hpp"
@@ -196,6 +197,59 @@ TEST(ChunkedBuilder, FinishSpilledStreamsDisjointAscendingRuns) {
   EXPECT_TRUE(std::equal(counts.begin(), counts.end(),
                          reference.counts().begin(),
                          reference.counts().end()));
+}
+
+TEST(ChunkedBuilder, FinishSpilledRunsMatchSerialReferencePerBin) {
+  constexpr int k = 13;
+  const auto run = make_run(19);
+  std::vector<seq::KmerCode> instances;
+  for (const auto& r : run.reads.reads) {
+    seq::extract_kmer_codes_both_strands(r.bases, k, instances);
+  }
+  for (const int shard_bits : {1, 6, 8}) {
+    SCOPED_TRACE(::testing::Message() << "shard_bits=" << shard_bits);
+    const int shift = 2 * k - shard_bits;
+    // Reference: each bin's instance multiset through the std::sort path.
+    std::vector<std::vector<seq::KmerCode>> bins(std::size_t{1}
+                                                 << shard_bits);
+    for (const seq::KmerCode c : instances) bins[c >> shift].push_back(c);
+
+    auto spill = spill_options(250000);
+    spill.shard_bits = shard_bits;
+    kspec::ChunkedSpectrumBuilder builder(k, true, 1 << 20, nullptr, spill);
+    builder.add_reads(run.reads);
+    ASSERT_TRUE(builder.spilled());
+    ASSERT_EQ(builder.spill_shard_bits(), shard_bits);
+    std::size_t runs = 0;
+    std::size_t nonempty = 0;
+    for (const auto& bin : bins) nonempty += !bin.empty();
+    builder.finish_spilled([&](kspec::ChunkedSpectrumBuilder::SortedRun&& r) {
+      ++runs;
+      ASSERT_LT(r.prefix, bins.size());
+      std::vector<seq::KmerCode> codes;
+      std::vector<std::uint32_t> counts;
+      kspec::serial_sort_and_count(std::move(bins[r.prefix]), codes, counts);
+      EXPECT_EQ(r.codes, codes) << "prefix=" << r.prefix;
+      EXPECT_EQ(r.counts, counts) << "prefix=" << r.prefix;
+    });
+    EXPECT_EQ(runs, nonempty);
+  }
+}
+
+TEST(ChunkedBuilder, SpilledFinishPeakNoHigherThanSortFinish) {
+  // Same dataset and budget as SpilledBuildMatchesInMemoryByteForByte's
+  // tight case. 301020 is peak_tracked_bytes() measured with the earlier
+  // finish phase (std::sort per bin, codes plus 12n bytes of run arrays
+  // reserved at n), built from the parent commit of the radix kernel;
+  // the kernel's codes-plus-scratch finish must not track more.
+  const auto run = make_run(11);
+  kspec::ChunkedSpectrumBuilder builder(13, true, 1 << 20, nullptr,
+                                        spill_options(350000));
+  builder.add_reads(run.reads);
+  ASSERT_TRUE(builder.spilled());
+  (void)builder.finish();
+  EXPECT_GT(builder.peak_tracked_bytes(), 0u);
+  EXPECT_LE(builder.peak_tracked_bytes(), std::size_t{301020});
 }
 
 TEST(ChunkedBuilder, SpilledBuilderIsReusable) {

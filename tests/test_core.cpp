@@ -488,4 +488,17 @@ TEST(Registry, CustomRegistrationShadowsAndLists) {
   EXPECT_EQ(report.reads_changed, 0u);
 }
 
+TEST(SpillBudgetVerdict, StaysUnderOnlyWhenThePeakFits) {
+  EXPECT_EQ(core::spill_budget_verdict(1000, 1),
+            "pass 1 stayed under 1 MiB (peak tracked 1000 bytes)");
+  EXPECT_EQ(core::spill_budget_verdict(1048576, 1),
+            "pass 1 stayed under 1 MiB (peak tracked 1048576 bytes)");
+  EXPECT_EQ(core::spill_budget_verdict(1048577, 1),
+            "pass 1 exceeded the 1 MiB budget (peak tracked 1048577 bytes)");
+  EXPECT_EQ(core::spill_budget_verdict(1779000, 1),
+            "pass 1 exceeded the 1 MiB budget (peak tracked 1779000 bytes)");
+  EXPECT_EQ(core::spill_budget_verdict(3u << 20, 4),
+            "pass 1 stayed under 4 MiB (peak tracked 3145728 bytes)");
+}
+
 }  // namespace

@@ -150,6 +150,160 @@ TEST(RadixBuild, ExternalPoolAndSortOnlyEntryPoint) {
   }
 }
 
+// --- LSD radix kernel: radix_sort_low_bits + run-length count ---------
+
+/// `n` codes that all carry `prefix` above their low `key_bits` bits;
+/// the low bits come from a pool of `distinct` values, so runs repeat.
+std::vector<seq::KmerCode> shared_prefix_codes(std::size_t n, int key_bits,
+                                               seq::KmerCode prefix,
+                                               std::size_t distinct,
+                                               std::uint64_t seed) {
+  const seq::KmerCode low_mask =
+      key_bits >= 64 ? ~seq::KmerCode{0}
+                     : (seq::KmerCode{1} << key_bits) - 1;
+  const seq::KmerCode high = key_bits >= 64 ? 0 : prefix << key_bits;
+  util::Rng rng(seed);
+  std::vector<seq::KmerCode> values(std::max<std::size_t>(1, distinct));
+  for (auto& v : values) v = high | (rng() & low_mask);
+  std::vector<seq::KmerCode> codes(n);
+  for (auto& c : codes) c = values[rng.below(values.size())];
+  return codes;
+}
+
+/// Sorts `codes` with radix_sort_low_bits and sorts-and-counts them with
+/// sort_and_count_in_place, checking both against std::sort and
+/// serial_sort_and_count.
+void expect_kernel_matches_reference(std::vector<seq::KmerCode> codes,
+                                     int key_bits) {
+  auto expected_sorted = codes;
+  std::sort(expected_sorted.begin(), expected_sorted.end());
+  std::vector<seq::KmerCode> expected_codes;
+  std::vector<std::uint32_t> expected_counts;
+  kspec::serial_sort_and_count(std::vector<seq::KmerCode>(codes),
+                               expected_codes, expected_counts);
+
+  auto sorted = codes;
+  std::vector<seq::KmerCode> scratch(codes.size());
+  kspec::radix_sort_low_bits(sorted, key_bits, scratch);
+  ASSERT_EQ(sorted, expected_sorted);
+
+  std::vector<std::uint32_t> counts;
+  kspec::sort_and_count_in_place(codes, key_bits, counts);
+  EXPECT_EQ(codes, expected_codes);
+  EXPECT_EQ(counts, expected_counts);
+}
+
+TEST(RadixKernel, MatchesStdSortAcrossKeyWidths) {
+  // 1-3 passes at <= 11 bits each up to 23 bits, 4-6 passes beyond;
+  // odd pass counts end in the scratch and are copied back. 64 is the
+  // tile-length-32 case: a full-width key with no shared bits.
+  for (const int key_bits : {0, 1, 2, 11, 12, 18, 22, 23, 34, 50, 64}) {
+    const seq::KmerCode prefix = key_bits >= 64 ? 0 : 0x2d;
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{2}, std::size_t{5000}}) {
+      for (const std::size_t distinct : {std::size_t{1}, std::size_t{700},
+                                         std::size_t{100000}}) {
+        SCOPED_TRACE(::testing::Message() << "key_bits=" << key_bits
+                                          << " n=" << n
+                                          << " distinct=" << distinct);
+        expect_kernel_matches_reference(
+            shared_prefix_codes(n, key_bits, prefix, distinct,
+                                1000 + key_bits + n + distinct),
+            key_bits);
+      }
+    }
+  }
+}
+
+TEST(RadixKernel, ConstantDigitsKeepTheOrder) {
+  // Low 11 bits all zero: the first pass scatters every code into one
+  // digit and must leave the order for the later passes unchanged.
+  util::Rng rng(5);
+  for (const int key_bits : {22, 23, 33}) {
+    const seq::KmerCode high_mask = (seq::KmerCode{1} << (key_bits - 11)) - 1;
+    std::vector<seq::KmerCode> codes(3000);
+    for (auto& c : codes) c = (rng() & high_mask) << 11;
+    SCOPED_TRACE(::testing::Message() << "key_bits=" << key_bits);
+    expect_kernel_matches_reference(codes, key_bits);
+  }
+  // Two codes, every digit but one constant.
+  expect_kernel_matches_reference({seq::KmerCode{1} << 40, 0}, 50);
+  // All equal: every digit is constant.
+  expect_kernel_matches_reference(std::vector<seq::KmerCode>(513, 0xabcdef),
+                                  24);
+}
+
+TEST(RadixKernel, SortAndCountMatchSerialAcrossPoolsAndWidths) {
+  constexpr int k = 13;
+  const seq::KmerCode mask = (seq::KmerCode{1} << (2 * k)) - 1;
+  util::Rng rng(77);
+  std::vector<seq::KmerCode> uniform(60000);
+  for (auto& c : uniform) c = rng() & mask;
+  for (std::size_t i = 0; i < uniform.size(); i += 3) {
+    uniform[i] = uniform[i / 2];  // repeats, so counts exceed 1
+  }
+  // Skewed: almost everything in the bucket of prefix 0 at any width.
+  std::vector<seq::KmerCode> skewed(60000);
+  for (std::size_t i = 0; i < skewed.size(); ++i) {
+    skewed[i] = i % 97 == 0 ? (rng() & mask) : (rng() & 0x3fff);
+  }
+
+  for (const auto* input : {&uniform, &skewed}) {
+    std::vector<seq::KmerCode> expected_codes;
+    std::vector<std::uint32_t> expected_counts;
+    kspec::serial_sort_and_count(std::vector<seq::KmerCode>(*input),
+                                 expected_codes, expected_counts);
+    auto expected_sorted = *input;
+    std::sort(expected_sorted.begin(), expected_sorted.end());
+    for (const std::size_t threads : {1ul, 2ul, 4ul}) {
+      util::ThreadPool pool(threads);
+      for (const int bits : {0, 4, 14}) {
+        SCOPED_TRACE(::testing::Message()
+                     << (input == &uniform ? "uniform" : "skewed")
+                     << " threads=" << threads << " radix_bits=" << bits);
+        kspec::RadixSortOptions opts;
+        opts.pool = &pool;
+        opts.radix_bits = bits;
+        std::vector<seq::KmerCode> codes;
+        std::vector<std::uint32_t> counts;
+        kspec::radix_sort_and_count(std::vector<seq::KmerCode>(*input), k,
+                                    codes, counts, opts);
+        ASSERT_EQ(codes, expected_codes);
+        ASSERT_EQ(counts, expected_counts);
+        auto sorted = *input;
+        kspec::radix_sort_codes(sorted, k, opts);
+        ASSERT_EQ(sorted, expected_sorted);
+      }
+    }
+  }
+}
+
+TEST(RadixKernel, FullWidthTileKeysMatchSerial) {
+  // Tile keys of length 32 fill all 64 bits: the bucket prefix takes the
+  // top bits and the kernel sorts the remaining 64 - bits.
+  constexpr int tile_length = 32;
+  util::Rng rng(3);
+  std::vector<seq::KmerCode> codes(20000);
+  for (auto& c : codes) c = rng();
+  for (std::size_t i = 0; i < codes.size(); i += 4) codes[i] = codes[i / 3];
+  std::vector<seq::KmerCode> expected_codes;
+  std::vector<std::uint32_t> expected_counts;
+  kspec::serial_sort_and_count(std::vector<seq::KmerCode>(codes),
+                               expected_codes, expected_counts);
+  util::ThreadPool pool(2);
+  for (const int bits : {0, 4, 14}) {
+    kspec::RadixSortOptions opts;
+    opts.pool = &pool;
+    opts.radix_bits = bits;
+    std::vector<seq::KmerCode> out_codes;
+    std::vector<std::uint32_t> out_counts;
+    kspec::radix_sort_and_count(std::vector<seq::KmerCode>(codes),
+                                tile_length, out_codes, out_counts, opts);
+    ASSERT_EQ(out_codes, expected_codes) << "radix_bits=" << bits;
+    ASSERT_EQ(out_counts, expected_counts) << "radix_bits=" << bits;
+  }
+}
+
 TEST(PrefixIndex, AgreesWithPlainLowerBound) {
   const auto reads = simulated_reads(23, 20000);
   auto spec = KSpectrum::build(reads, 13, true);

@@ -4,7 +4,7 @@
 # spectrum index through ngs_index and ngs_correct, sanity-check
 # outputs, and assert the documented exit codes on every failure path
 # (0 success, 2 usage/config, 3 input/parse, 4 index, 1 internal).
-set -euo pipefail
+set -Eeuo pipefail
 
 BIN_DIR="$1"
 # Second argument `service` runs only the correction-service scenario
@@ -13,6 +13,17 @@ BIN_DIR="$1"
 MODE="${2:-all}"
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
+
+# Any failing step names its line and command, and shows the last
+# captured stderr, before the EXIT trap removes $WORK.
+on_error() {
+  echo "tools_smoke: line $2 failed (exit $1): $3" >&2
+  if [ -f "$WORK/stderr.txt" ]; then
+    echo "--- $WORK/stderr.txt ---" >&2
+    cat "$WORK/stderr.txt" >&2
+  fi
+}
+trap 'on_error "$?" "$LINENO" "$BASH_COMMAND"' ERR
 
 # expect_exit <code> <cmd...>: the command must fail with exactly <code>;
 # stderr is captured to $WORK/stderr.txt for message assertions.

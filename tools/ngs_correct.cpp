@@ -200,10 +200,12 @@ int main(int argc, char** argv) {
               << result.report.extra("pass2_reads_per_sec") << " reads/s\n";
   }
   if (result.spectrum_spilled) {
-    std::cerr << "spill: pass 1 stayed under "
-              << cli.get_int("memory-budget-mb", 0) << " MiB (peak tracked "
-              << result.spectrum_peak_tracked_bytes << " bytes), "
-              << result.spectrum_spilled_bytes << " bytes spilled";
+    std::cerr << "spill: "
+              << core::spill_budget_verdict(
+                     result.spectrum_peak_tracked_bytes,
+                     static_cast<std::uint64_t>(
+                         cli.get_int("memory-budget-mb", 0)))
+              << ", " << result.spectrum_spilled_bytes << " bytes spilled";
     if (result.spectrum_shards > 0) {
       std::cerr << ", pass 2 queried " << result.spectrum_shards
                 << " index shards";
